@@ -12,6 +12,7 @@ package agent
 // is seeded. Faults may change WHEN things happen, never WHAT arrives.
 
 import (
+	"context"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -23,6 +24,7 @@ import (
 
 	"p2b/internal/faultinject"
 	"p2b/internal/httpapi"
+	"p2b/internal/node"
 	"p2b/internal/persist"
 	"p2b/internal/rng"
 	"p2b/internal/server"
@@ -39,38 +41,50 @@ const (
 	chaosSteps = 8
 )
 
-// chaosNode is one durable p2bnode surface plus the handles the test
-// asserts against.
+// chaosNode is one boot of a node assembled exactly as p2bnode assembles
+// it, served on httptest.
 type chaosNode struct {
-	srv  *server.Server
-	shuf *shuffler.Shuffler
-	mgr  *persist.Manager
-	ts   *httptest.Server
+	*node.Node
+	ts *httptest.Server
+}
+
+// bootChaosNode opens a single-shard node with per-append fsync (every
+// acked report survives a kill) when dir is set, in memory otherwise.
+func bootChaosNode(t *testing.T, cfg node.Config, dir string, seed uint64) *chaosNode {
+	t.Helper()
+	cfg.Server = server.Config{K: httpK, Arms: httpArms, D: httpDim, Alpha: 1, Seed: seed, Shards: 1}
+	cfg.Shuffler.BatchSize = 8
+	cfg.DataDir = dir
+	cfg.Persist = persist.Options{SyncInterval: 0}
+	cfg.Logf = t.Logf
+	n, err := node.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &chaosNode{Node: n, ts: httptest.NewServer(n.Handler())}
 }
 
 func newChaosNode(t *testing.T, dir string) *chaosNode {
 	t.Helper()
-	srv := server.New(server.Config{K: httpK, Arms: httpArms, D: httpDim, Alpha: 1, Seed: 1, Shards: 1})
-	shuf := shuffler.New(shuffler.Config{BatchSize: 8, Threshold: 2}, srv, rng.New(5))
-	mgr, err := persist.Open(dir, shuf, srv, persist.Options{SyncInterval: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := httpapi.NodeOptions{
-		Ingest:     mgr,
-		Checkpoint: mgr.Checkpoint,
-		Health:     func() any { return mgr.Info() },
-	}
-	n := &chaosNode{srv: srv, shuf: shuf, mgr: mgr}
-	n.ts = httptest.NewServer(httpapi.NewNodeHandlerOpts(shuf, srv, opts))
-	return n
+	return bootChaosNode(t, node.Config{Name: "node-1", Shuffler: shuffler.Config{Threshold: 2}}, dir, 5)
 }
 
 func (n *chaosNode) close(t *testing.T) {
 	t.Helper()
 	n.ts.Close()
-	if err := n.mgr.Close(); err != nil {
-		t.Errorf("closing persist manager: %v", err)
+	if err := n.Shutdown(context.Background()); err != nil {
+		t.Errorf("shutting the node down: %v", err)
+	}
+}
+
+// crash abandons the boot the way a kill -9 would: the listener stops
+// (in-flight requests drain, so "acked" keeps meaning "durable"), and the
+// WAL is closed with no final flush and no shutdown checkpoint.
+func (n *chaosNode) crash(t *testing.T) {
+	t.Helper()
+	n.ts.Close()
+	if err := n.Persist().Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -157,7 +171,7 @@ func TestChaosRunConvergesBitExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanShuf := clean.shuf.Stats()
+	cleanShuf := clean.Shuffler().Stats()
 	clean.close(t)
 
 	// Chaos run: WAL fsync fault armed, all traffic through the proxy.
@@ -198,7 +212,7 @@ func TestChaosRunConvergesBitExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaosShuf := chaos.shuf.Stats()
+	chaosShuf := chaos.Shuffler().Stats()
 	proxyStats := proxy.Stats()
 	proxyTS.Close()
 	chaos.close(t)
@@ -252,49 +266,16 @@ func TestChaosRunConvergesBitExactly(t *testing.T) {
 	}
 }
 
-// chaosRelay is one boot of a durable relay: WAL-backed shuffler whose
-// sink forwards finished batches to the analyzer, served over HTTP.
-type chaosRelay struct {
-	fwd  *topology.Forwarder
-	shuf *shuffler.Shuffler
-	mgr  *persist.Manager
-	ts   *httptest.Server
-}
-
-func bootChaosRelay(t *testing.T, dir, downstream string, seed uint64) *chaosRelay {
+// bootChaosRelay is one boot of a durable relay forwarding to downstream.
+// Threshold 0: every logged tuple must come out the other end, so the
+// zero-dropped assertion is about the crash, not about privacy culls.
+func bootChaosRelay(t *testing.T, dir, downstream string, seed uint64) *chaosNode {
 	t.Helper()
-	fwd, err := topology.NewForwarder(downstream, topology.ForwarderOptions{
-		Origin: "relay-1", RetryBase: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Threshold 0: every logged tuple must come out the other end, so the
-	// zero-dropped assertion is about the crash, not about privacy culls.
-	shuf := shuffler.New(shuffler.Config{BatchSize: 8, Threshold: 0}, fwd, rng.New(seed))
-	mgr, err := persist.Open(dir, shuf, server.New(server.Config{K: httpK, Arms: httpArms, D: httpDim, Alpha: 1, Seed: 1, Shards: 1}), persist.Options{
-		SyncInterval: 0, // per-append fsync: every acked report survives the kill
-		Cursor:       fwd,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fwd.SetSync(mgr.SyncWAL)
-	r := &chaosRelay{fwd: fwd, shuf: shuf, mgr: mgr}
-	r.ts = httptest.NewServer(httpapi.NewRelayHandler(shuf, fwd, httpapi.RelayOptions{Ingest: mgr}))
-	return r
-}
-
-// crash abandons the boot the way a kill -9 would: the listener stops
-// (in-flight requests drain, so "acked" keeps meaning "durable"), and the
-// WAL is closed with no final flush and no shutdown checkpoint.
-func (r *chaosRelay) crash(t *testing.T) {
-	t.Helper()
-	r.ts.Close()
-	if err := r.mgr.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return bootChaosNode(t, node.Config{
+		Role:       topology.RoleRelay,
+		Name:       "relay-1",
+		Downstream: downstream,
+	}, dir, seed)
 }
 
 // The relay-restart chaos scenario: a fleet reporting through a durable
@@ -304,19 +285,14 @@ func (r *chaosRelay) crash(t *testing.T) {
 // (epoch, seq) cursor, and its WAL-tail re-forwards are absorbed by the
 // analyzer's duplicate guard.
 func TestChaosRelayRestartLosesNothing(t *testing.T) {
-	aSrv := server.New(server.Config{K: httpK, Arms: httpArms, D: httpDim, Alpha: 1, Seed: 1, Shards: 1})
-	aShuf := shuffler.New(shuffler.Config{BatchSize: 8, Threshold: 0}, aSrv, rng.New(6))
-	analyzer := httptest.NewServer(httpapi.NewNodeHandlerOpts(aShuf, aSrv, httpapi.NodeOptions{
-		Role: string(topology.RoleAnalyzer),
-		Peer: &httpapi.PeerOptions{Origin: "analyzer-1"},
-	}))
-	defer analyzer.Close()
+	analyzer := bootChaosNode(t, node.Config{Role: topology.RoleAnalyzer, Name: "analyzer-1"}, "", 6)
+	defer analyzer.close(t)
 
 	// The fleet needs one stable URL across the relay restart (a real
 	// deployment keeps its address; httptest cannot rebind a port), so a
 	// switchable reverse proxy fronts whichever boot is current.
 	dir := filepath.Join(t.TempDir(), "relay")
-	boot1 := bootChaosRelay(t, dir, analyzer.URL, 30)
+	boot1 := bootChaosRelay(t, dir, analyzer.ts.URL, 30)
 	var backend atomic.Value
 	backend.Store(boot1.ts.URL)
 	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -361,10 +337,10 @@ func TestChaosRelayRestartLosesNothing(t *testing.T) {
 
 	// The restart races phase 2: the first sends hit the dead backend and
 	// retry, then the revived relay absorbs the rest.
-	restarted := make(chan *chaosRelay, 1)
+	restarted := make(chan *chaosNode, 1)
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		boot2 := bootChaosRelay(t, dir, analyzer.URL, 31)
+		boot2 := bootChaosRelay(t, dir, analyzer.ts.URL, 31)
 		backend.Store(boot2.ts.URL)
 		restarted <- boot2
 	}()
@@ -385,7 +361,7 @@ func TestChaosRelayRestartLosesNothing(t *testing.T) {
 
 	// Zero dropped, zero double-counted: with every reward exactly 1, the
 	// analyzer's total tabular count IS the delivered-report count.
-	model, err := httpapi.NewNodeClient(analyzer.URL).FetchModel("tabular", "", true)
+	model, err := httpapi.NewNodeClient(analyzer.ts.URL).FetchModel("tabular", "", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,10 +375,10 @@ func TestChaosRelayRestartLosesNothing(t *testing.T) {
 
 	// Non-vacuity: the restart really retransmitted (the duplicate guard
 	// absorbed the WAL-tail re-forward) and the cursor really was restored.
-	if !boot2.mgr.Recovery().CursorRestored {
+	if !boot2.Persist().Recovery().CursorRestored {
 		t.Fatal("restarted relay minted a fresh epoch instead of restoring its cursor")
 	}
-	if _, _, _, dups := aSrv.PeerCounters(); dups == 0 {
+	if _, _, _, dups := analyzer.Server().PeerCounters(); dups == 0 {
 		t.Fatal("analyzer saw no duplicate batches — the crash-replay path went untested")
 	}
 }

@@ -18,8 +18,6 @@
 //	                        poll of an unchanged model costs a 304; the
 //	                        body is binary (Accept: application/x-p2b-model)
 //	                        or JSON; ?kind=tabular|linucb|centroid
-//	GET  /server/model/tabular
-//	GET  /server/model/linucb
 //	POST /server/raw        (non-private baseline ingestion)
 //	GET  /server/stats
 //	GET  /healthz           liveness + persistence status
@@ -31,7 +29,9 @@
 // # Multi-node topology
 //
 // -role splits the process into fleet roles (see internal/topology and the
-// "Multi-node topology" section of DESIGN.md):
+// "Multi-node topology" section of DESIGN.md). A role is which components
+// the process runs; internal/node assembles them, and this command is its
+// flag surface:
 //
 //	-role combined  the default: shuffler + analyzer in one process
 //	-role relay     shuffler only; finished privacy batches are forwarded
@@ -63,11 +63,8 @@
 // uninterrupted run over the logged input. See internal/persist and the
 // durability section of DESIGN.md.
 //
-// On SIGINT/SIGTERM the node shuts down gracefully: the listener stops
-// accepting, in-flight requests drain (bounded by -drain), and the
-// shuffler's pending batch is flushed through the privacy pipeline into
-// the server so reports already accepted are not dropped. A durable node
-// logs the flush and writes a final checkpoint.
+// On SIGINT/SIGTERM the node shuts down gracefully, draining in-flight
+// requests for at most -drain (see node.Shutdown for the order).
 //
 // Usage:
 //
@@ -77,11 +74,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -89,311 +84,127 @@ import (
 
 	"p2b/internal/faultinject"
 	"p2b/internal/httpapi"
-	"p2b/internal/metrics"
+	"p2b/internal/node"
 	"p2b/internal/persist"
-	"p2b/internal/rng"
-	"p2b/internal/server"
-	"p2b/internal/shuffler"
 	"p2b/internal/topology"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		k         = flag.Int("k", 1024, "code-space size of the tabular model")
-		arms      = flag.Int("arms", 20, "number of actions")
-		d         = flag.Int("d", 10, "raw context dimension (baseline model)")
-		alpha     = flag.Float64("alpha", 1, "exploration parameter baked into snapshots")
-		threshold = flag.Int("threshold", 10, "crowd-blending threshold l")
-		batch     = flag.Int("batch", 0, "shuffler batch size (default 32*threshold)")
-		seed      = flag.Uint64("seed", 1, "seed for the shuffler's permutation stream")
-		shards    = flag.Int("shards", 0, "server ingestion shards (0 = GOMAXPROCS capped at 16; 1 makes ingestion order fully deterministic)")
-		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
+// options is the parsed command line: node.Config fields are bound to
+// their flags directly, and the few flags that need parsing or belong to
+// the process rather than the node sit beside it. OPERATIONS.md documents
+// the same flag set; a test holds the two together.
+type options struct {
+	node.Config
+	addr, role, walPolicy, peers, faults string
+	faultSeed                            uint64
+	drain                                time.Duration
+}
 
-		dataDir   = flag.String("data-dir", "", "directory for WAL + checkpoints (empty = in-memory only, state dies with the process)")
-		ckptEvery = flag.Duration("checkpoint-interval", 0, "automatic checkpoint interval (0 = manual via /admin/checkpoint and shutdown)")
-		walSync   = flag.Duration("wal-sync", 100*time.Millisecond, "WAL fsync batching interval (0 = fsync every append; strongest durability)")
-		walRetain = flag.Bool("wal-retain", false, "keep checkpoint-covered WAL segments instead of pruning (full input stream stays replayable)")
-		walPolicy = flag.String("wal-policy", "fail-closed", "ingest behavior when the WAL refuses a write: fail-closed (503 + Retry-After) or degrade (accept into memory, flag degraded on /healthz)")
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.Server.K, "k", 1024, "code-space size of the tabular model")
+	fs.IntVar(&o.Server.Arms, "arms", 20, "number of actions")
+	fs.IntVar(&o.Server.D, "d", 10, "raw context dimension (baseline model)")
+	fs.Float64Var(&o.Server.Alpha, "alpha", 1, "exploration parameter baked into snapshots")
+	fs.IntVar(&o.Shuffler.Threshold, "threshold", 10, "crowd-blending threshold l")
+	fs.IntVar(&o.Shuffler.BatchSize, "batch", 0, "shuffler batch size (default 32*threshold)")
+	fs.Uint64Var(&o.Server.Seed, "seed", 1, "seed for the shuffler's permutation stream")
+	fs.IntVar(&o.Server.Shards, "shards", 0, "server ingestion shards (0 = GOMAXPROCS capped at 16; 1 makes ingestion order fully deterministic)")
+	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown drain timeout")
 
-		maxInFlight      = flag.Int("max-inflight", 256, "max concurrently admitted ingest requests (0 = unbounded)")
-		maxInFlightBytes = flag.Int64("max-inflight-bytes", 64<<20, "max summed declared body bytes of admitted ingest requests (0 = unbounded)")
-		readTimeout      = flag.Duration("read-timeout", 30*time.Second, "per-request body read deadline on admitted ingest requests (0 = none)")
-		retryAfter       = flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) responses")
+	fs.StringVar(&o.DataDir, "data-dir", "", "directory for WAL + checkpoints (empty = in-memory only, state dies with the process)")
+	fs.DurationVar(&o.Persist.CheckpointInterval, "checkpoint-interval", 0, "automatic checkpoint interval (0 = manual via /admin/checkpoint and shutdown)")
+	fs.DurationVar(&o.Persist.SyncInterval, "wal-sync", 100*time.Millisecond, "WAL fsync batching interval (0 = fsync every append; strongest durability)")
+	fs.BoolVar(&o.Persist.RetainWAL, "wal-retain", false, "keep checkpoint-covered WAL segments instead of pruning (full input stream stays replayable)")
+	fs.StringVar(&o.walPolicy, "wal-policy", "fail-closed", "ingest behavior when the WAL refuses a write: fail-closed (503 + Retry-After) or degrade (accept into memory, flag degraded on /healthz)")
 
-		faults    = flag.String("faults", "", "failpoint specs for chaos runs, e.g. \"wal/sync:after=100,count=1;wal/torn:count=1\" (see internal/faultinject)")
-		faultSeed = flag.Uint64("fault-seed", 1, "seed for probabilistic failpoints")
+	fs.IntVar(&o.Admission.MaxInFlight, "max-inflight", 256, "max concurrently admitted ingest requests (0 = unbounded)")
+	fs.Int64Var(&o.Admission.MaxInFlightBytes, "max-inflight-bytes", 64<<20, "max summed declared body bytes of admitted ingest requests (0 = unbounded)")
+	fs.DurationVar(&o.Admission.ReadTimeout, "read-timeout", 30*time.Second, "per-request body read deadline on admitted ingest requests (0 = none)")
+	fs.DurationVar(&o.Admission.RetryAfter, "retry-after", time.Second, "Retry-After hint on shed (429) responses")
 
-		roleFlag    = flag.String("role", "combined", "fleet role: combined, relay or analyzer (see internal/topology)")
-		name        = flag.String("name", "", "node name in peer protocols and on the bulletin board (default <role>@<addr>)")
-		advertise   = flag.String("advertise", "", "base URL other fleet members reach this node at (default http://localhost<addr>)")
-		downstream  = flag.String("downstream", "", "relay only: base URL of the analyzer finished batches are forwarded to")
-		peersFlag   = flag.String("peers", "", "comma-separated base URLs of sibling analyzers to push local state to")
-		peerSync    = flag.Duration("peer-sync", 2*time.Second, "anti-entropy push interval to -peers")
-		digestSync  = flag.Duration("digest-sync", 15*time.Second, "pull-based anti-entropy interval: each round fetches peer digests and pulls only missing contributions, so a partitioned analyzer converges without waiting for inbound pushes (0 = pushes only)")
-		peerToken   = flag.String("peer-token", "", "bearer token required on inbound /peer/* routes and sent on outbound peer traffic (empty = open)")
-		registry    = flag.String("registry", "", "bulletin-board base URL to announce this node on (see cmd/p2bboard; empty = no announcement)")
-		registryTTL = flag.Duration("registry-ttl", topology.DefaultTTL, "announcement TTL on the bulletin board")
-	)
-	flag.Parse()
-	if *batch == 0 {
-		*batch = 32 * *threshold
-		if *batch == 0 {
-			*batch = 256
+	fs.StringVar(&o.faults, "faults", "", "failpoint specs for chaos runs, e.g. \"wal/sync:after=100,count=1;wal/torn:count=1\" (see internal/faultinject)")
+	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "seed for probabilistic failpoints")
+
+	fs.StringVar(&o.role, "role", "combined", "fleet role: combined, relay or analyzer (see internal/topology)")
+	fs.StringVar(&o.Name, "name", "", "node name in peer protocols and on the bulletin board (default <role>@<addr>)")
+	fs.StringVar(&o.Advertise, "advertise", "", "base URL other fleet members reach this node at (default http://localhost<addr>)")
+	fs.StringVar(&o.Downstream, "downstream", "", "relay only: base URL of the analyzer finished batches are forwarded to")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated base URLs of sibling analyzers to push local state to")
+	fs.DurationVar(&o.PeerSync, "peer-sync", 2*time.Second, "anti-entropy push interval to -peers")
+	fs.DurationVar(&o.DigestSync, "digest-sync", 15*time.Second, "pull-based anti-entropy interval: each round fetches peer digests and pulls only missing contributions, so a partitioned analyzer converges without waiting for inbound pushes (0 = pushes only)")
+	fs.StringVar(&o.PeerToken, "peer-token", "", "bearer token required on inbound /peer/* routes and sent on outbound peer traffic (empty = open)")
+	fs.StringVar(&o.Registry, "registry", "", "bulletin-board base URL to announce this node on (see cmd/p2bboard; empty = no announcement)")
+	fs.DurationVar(&o.RegistryTTL, "registry-ttl", topology.DefaultTTL, "announcement TTL on the bulletin board")
+	return o
+}
+
+// resolve parses the string-valued flags into the config and fills the
+// defaults that depend on other flags.
+func (o *options) resolve() error {
+	var err error
+	if o.WALPolicy, err = httpapi.ParseWALPolicy(o.walPolicy); err != nil {
+		return err
+	}
+	if o.Role, err = topology.ParseRole(o.role); err != nil {
+		return err
+	}
+	if o.Shuffler.BatchSize == 0 {
+		o.Shuffler.BatchSize = 32 * o.Shuffler.Threshold
+		if o.Shuffler.BatchSize == 0 {
+			o.Shuffler.BatchSize = 256
 		}
 	}
-
-	policy, err := httpapi.ParseWALPolicy(*walPolicy)
-	if err != nil {
-		log.Fatalf("p2bnode: %v", err)
-	}
-	role, err := topology.ParseRole(*roleFlag)
-	if err != nil {
-		log.Fatalf("p2bnode: %v", err)
-	}
-	if role == topology.RoleRelay && *downstream == "" {
-		log.Fatalf("p2bnode: -role relay requires -downstream (the analyzer URL batches forward to)")
-	}
-	if role != topology.RoleRelay && *downstream != "" {
-		log.Fatalf("p2bnode: -downstream only makes sense with -role relay")
-	}
-	var peerURLs []string
-	for _, p := range strings.Split(*peersFlag, ",") {
+	for _, p := range strings.Split(o.peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
-			peerURLs = append(peerURLs, p)
+			o.Peers = append(o.Peers, p)
 		}
 	}
-	if role == topology.RoleRelay && len(peerURLs) > 0 {
-		log.Fatalf("p2bnode: -peers only makes sense on analyzer or combined nodes (relays forward, they do not merge)")
+	if o.Name == "" {
+		o.Name = fmt.Sprintf("%s@%s", o.Role, o.addr)
 	}
-	if *name == "" {
-		*name = fmt.Sprintf("%s@%s", role, *addr)
-	}
-	if *advertise == "" {
-		if strings.HasPrefix(*addr, ":") {
-			*advertise = "http://localhost" + *addr
-		} else {
-			*advertise = "http://" + *addr
+	if o.Advertise == "" {
+		o.Advertise = "http://" + o.addr
+		if strings.HasPrefix(o.addr, ":") {
+			o.Advertise = "http://localhost" + o.addr
 		}
 	}
-	if *faults != "" {
-		specs, err := faultinject.ParseSpecs(*faults)
+	return nil
+}
+
+func main() {
+	o := registerFlags(flag.CommandLine)
+	flag.Parse()
+	if err := o.resolve(); err != nil {
+		log.Fatalf("p2bnode: %v", err)
+	}
+	if o.faults != "" {
+		specs, err := faultinject.ParseSpecs(o.faults)
 		if err != nil {
 			log.Fatalf("p2bnode: %v", err)
 		}
-		reg := faultinject.NewRegistry(*faultSeed)
+		reg := faultinject.NewRegistry(o.faultSeed)
 		reg.EnableAll(specs)
 		persist.SetFSHooks(&persist.FSHooks{
 			BeforeWrite:    reg.FSWrite,
 			BeforeSync:     reg.FSSync,
 			BeforeTruncate: reg.FSTruncate,
 		})
-		log.Printf("p2bnode: CHAOS MODE: failpoints armed (%s, seed %d) — not for production", *faults, *faultSeed)
+		log.Printf("p2bnode: CHAOS MODE: failpoints armed (%s, seed %d) — not for production", o.faults, o.faultSeed)
 	}
 
-	// The server is constructed for every role. A relay never serves models
-	// from it, but the persist layer checkpoints through it, so a durable
-	// relay reuses the exact same recovery machinery as a combined node.
-	srv := server.New(server.Config{K: *k, Arms: *arms, D: *d, Alpha: *alpha, Seed: *seed, Shards: *shards})
-
-	// The shuffler's sink decides the role's data path: combined and
-	// analyzer nodes deliver finished privacy batches into the local server,
-	// a relay forwards them downstream over the P2B1 wire.
-	var fwd *topology.Forwarder
-	var sink shuffler.Sink = srv
-	if role == topology.RoleRelay {
-		var err error
-		fwd, err = topology.NewForwarder(*downstream, topology.ForwarderOptions{
-			Origin: *name,
-			Token:  *peerToken,
-			Logf:   log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("p2bnode: %v", err)
-		}
-		sink = fwd
-	}
-	shuf := shuffler.New(shuffler.Config{BatchSize: *batch, Threshold: *threshold}, sink, rng.New(*seed).Split("shuffler"))
-
-	reg := metrics.NewRegistry()
-	adm := httpapi.NewAdmission(httpapi.AdmissionConfig{
-		MaxInFlight:      *maxInFlight,
-		MaxInFlightBytes: *maxInFlightBytes,
-		RetryAfter:       *retryAfter,
-		ReadTimeout:      *readTimeout,
-	})
-	var mgr *persist.Manager
-	if *dataDir != "" {
-		popts := persist.Options{
-			SyncInterval:       *walSync,
-			CheckpointInterval: *ckptEvery,
-			RetainWAL:          *walRetain,
-			Metrics:            persist.NewMetrics(reg),
-		}
-		if fwd != nil {
-			// A durable relay persists its forwarding identity: recovery
-			// restores the (epoch, seq) cursor before the replay below can
-			// re-forward a batch, so WAL-tail retransmits reuse the
-			// pre-crash epoch and the analyzer's duplicate guard drops them.
-			popts.Cursor = fwd
-		}
-		var err error
-		mgr, err = persist.Open(*dataDir, shuf, srv, popts)
-		if err != nil {
-			log.Fatalf("p2bnode: recovering %s: %v", *dataDir, err)
-		}
-		if fwd != nil {
-			// Every forwarded batch first syncs the WAL records behind it,
-			// so a crash can never truncate records a downstream analyzer
-			// already counted under this (epoch, seq).
-			fwd.SetSync(mgr.SyncWAL)
-			epoch, fseq := fwd.Cursor()
-			log.Printf("p2bnode: relay cursor epoch %d seq %d (restored: %v)", epoch, fseq, mgr.Recovery().CursorRestored)
-		}
-		rec := mgr.Recovery()
-		log.Printf("p2bnode: durable in %s (checkpoint seq %d, replayed %d records, wal at seq %d)",
-			*dataDir, rec.CheckpointSeq, rec.ReplayedRecords, rec.LastSeq)
-		// WAL position gauges: sampled from the same Info() /healthz serves.
-		reg.GaugeFunc("p2b_wal_seq", "",
-			"Sequence number of the last WAL append.",
-			func() float64 { return float64(mgr.Info().WALSeq) })
-		reg.GaugeFunc("p2b_wal_checkpoint_seq", "",
-			"WAL position of the last completed checkpoint.",
-			func() float64 { return float64(mgr.Info().CheckpointSeq) })
-		reg.GaugeFunc("p2b_wal_segments", "",
-			"Live WAL segment files on disk.",
-			func() float64 { return float64(mgr.Info().Segments) })
-	}
-
-	// One boot epoch qualifies every position this node advertises for its
-	// own contribution stream — outbound pushes and the /peer/digest and
-	// /peer/contrib self entries — so a sibling that learned our position
-	// from a push and one that learned it from a digest agree.
-	peerEpoch := topology.BootEpoch()
-
-	// Outbound anti-entropy: analyzers and combined nodes with -peers push
-	// their local contribution to every sibling on the -peer-sync interval,
-	// and — unless -digest-sync is 0 — pull what they are missing on the
-	// digest-round interval.
-	var peering *topology.Peering
-	if len(peerURLs) > 0 {
-		var err error
-		peering, err = topology.NewPeering(topology.PeeringOptions{
-			Origin:         *name,
-			Epoch:          peerEpoch,
-			Peers:          peerURLs,
-			Interval:       *peerSync,
-			Token:          *peerToken,
-			Export:         srv.ExportState,
-			LocalVersion:   srv.LocalVersion,
-			Logf:           log.Printf,
-			DigestInterval: *digestSync,
-			Local: func() []topology.DigestEntry {
-				var out []topology.DigestEntry
-				for _, c := range srv.PeerStatus().Contributions {
-					out = append(out, topology.DigestEntry{Origin: c.Origin, Epoch: c.Epoch, Seq: c.Seq})
-				}
-				return out
-			},
-			Apply: func(u topology.PeerUpdate) (bool, error) {
-				return srv.MergePeerState(u.Origin, u.Epoch, u.Seq, u.State)
-			},
-		})
-		if err != nil {
-			log.Fatalf("p2bnode: %v", err)
-		}
-		peering.Start()
-		log.Printf("p2bnode: pushing state to %d peer(s) every %v as origin %q (digest round: %v)", len(peerURLs), *peerSync, *name, *digestSync)
-	}
-
-	// The heartbeat handle exists before the handlers so its Status can be
-	// wired into /healthz and /metrics; the loop itself starts only once
-	// the listener is up, so agents discovering this node find it
-	// reachable. ovProbe is filled by the handler constructor below and
-	// lets each announcement carry the node's live degrade state.
-	var hb *topology.Heartbeat
-	var ovProbe func() httpapi.OverloadStats
-	if *registry != "" {
-		hb = topology.NewHeartbeat(*registry,
-			topology.Node{Name: *name, Role: role, URL: *advertise},
-			topology.HeartbeatOptions{
-				TTL:      *registryTTL,
-				Logf:     log.Printf,
-				Seed:     *seed,
-				Degraded: func() bool { return ovProbe != nil && ovProbe().Degraded },
-			})
-	}
-	var boardStatus func() topology.HeartbeatStatus
-	if hb != nil {
-		boardStatus = hb.Status
-	}
-
-	var handler http.Handler
-	if role == topology.RoleRelay {
-		ropts := httpapi.RelayOptions{
-			Admission: adm,
-			WALPolicy: policy,
-			Metrics:   reg,
-			Shapes:    httpapi.ModelShapes{K: *k, Arms: *arms, D: *d},
-			Board:     boardStatus,
-			Overload:  &ovProbe,
-		}
-		if mgr != nil {
-			ropts.Ingest = mgr
-			ropts.Checkpoint = mgr.Checkpoint
-			ropts.Health = func() any { return mgr.Info() }
-		}
-		handler = httpapi.NewRelayHandler(shuf, fwd, ropts)
-	} else {
-		opts := httpapi.NodeOptions{
-			WALPolicy: policy,
-			Metrics:   reg,
-			Admission: adm,
-			Role:      string(role),
-			Board:     boardStatus,
-			Overload:  &ovProbe,
-			Peer: &httpapi.PeerOptions{
-				Origin: *name,
-				Token:  *peerToken,
-				Epoch:  peerEpoch,
-				Export: srv.ExportState,
-			},
-		}
-		if mgr != nil {
-			opts.Ingest = mgr
-			opts.Checkpoint = mgr.Checkpoint
-			opts.Health = func() any { return mgr.Info() }
-			// Relay batches ride the same WAL as agent reports, so a crash
-			// between accept and apply replays them instead of losing them.
-			opts.Peer.Deliver = mgr.DeliverPeer
-		}
-		if peering != nil {
-			opts.Peer.Sync = peering.Status
-		}
-		handler = httpapi.NewNodeHandlerOpts(shuf, srv, opts)
-	}
-
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
+	n, err := node.Open(o.Config)
+	if err != nil {
+		log.Fatalf("p2bnode: %v", err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	// Announce on the bulletin board last, once the listener is about to
-	// accept: agents discovering this node should find it reachable. An
-	// unreachable board is retried on a jittered backoff inside the loop.
-	if hb != nil {
-		hb.Start()
-		log.Printf("p2bnode: announcing %q (%s) at %s on board %s", *name, role, *advertise, *registry)
-	}
-
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	go func() { errCh <- n.ListenAndServe(o.addr) }()
 	log.Printf("p2bnode listening on %s as %s %q (k=%d arms=%d d=%d threshold=%d batch=%d)",
-		*addr, role, *name, *k, *arms, *d, *threshold, *batch)
+		o.addr, o.Role, o.Name, o.Server.K, o.Server.Arms, o.Server.D, o.Shuffler.Threshold, o.Shuffler.BatchSize)
 
 	select {
 	case err := <-errCh:
@@ -402,50 +213,17 @@ func main() {
 	case <-ctx.Done():
 	}
 	stop() // a second signal kills the process the default way
-	log.Printf("p2bnode: shutting down (drain %v)", *drain)
-	if hb != nil {
-		hb.Stop() // let the board entry expire; agents stop picking us
-	}
-
-	// Stop accepting and drain in-flight requests first, so no report can
-	// slip into the shuffler after the final flush below.
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	log.Printf("p2bnode: shutting down (drain %v)", o.drain)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("p2bnode: drain incomplete: %v", err)
+	if err := n.Shutdown(drainCtx); err != nil {
+		log.Printf("p2bnode: %v", err)
 	}
 
-	// Push the pending sub-batch through the privacy pipeline. Small
-	// flushed batches are the ones most exposed to thresholding — that is
-	// correct privacy behaviour, not data loss. On a durable node the flush
-	// is logged (replay must flush at the same position) and followed by a
-	// final checkpoint, so the next boot starts from this exact state.
-	if mgr != nil {
-		if err := mgr.Flush(); err != nil {
-			log.Printf("p2bnode: final flush: %v", err)
-		}
-		if err := mgr.Checkpoint(); err != nil {
-			log.Printf("p2bnode: final checkpoint: %v", err)
-		}
-		if err := mgr.Close(); err != nil {
-			log.Printf("p2bnode: closing wal: %v", err)
-		}
-	} else {
-		shuf.Flush()
-	}
-
-	// Hand the siblings everything local before exiting, then stop the
-	// anti-entropy loop. The final flush above already landed in srv, so
-	// this last push carries the node's complete contribution.
-	if peering != nil {
-		peering.Sync()
-		peering.Close()
-	}
-
-	sst, shst := srv.Stats(), shuf.Stats()
+	sst, shst := n.Server().Stats(), n.Shuffler().Stats()
 	log.Printf("p2bnode: final state: %d tuples ingested, %d raw, %d batches shuffled (%d forwarded, %d thresholded)",
 		sst.TuplesIngested, sst.RawIngested, shst.Batches, shst.Forwarded, shst.Dropped)
-	if fwd != nil {
+	if fwd := n.Forwarder(); fwd != nil {
 		fst := fwd.Stats()
 		log.Printf("p2bnode: forwarded downstream: %d batches (%d tuples), %d duplicates, %d retries, %d dropped",
 			fst.Batches, fst.Tuples, fst.Duplicates, fst.Retries, fst.Dropped)

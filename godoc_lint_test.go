@@ -18,7 +18,7 @@ import (
 // durability tooling (p2bwal, dashboards) build on. CI runs this test as
 // its godoc lint step; adding a package here makes its exported surface
 // documentation-mandatory.
-var godocLintDirs = []string{".", "agent", "internal/metrics", "internal/persist", "internal/topology"}
+var godocLintDirs = []string{".", "agent", "internal/metrics", "internal/node", "internal/persist", "internal/topology"}
 
 // TestExportedIdentifiersAreDocumented fails when any exported identifier
 // in the covered packages lacks a doc comment. Undocumented exports are

@@ -394,7 +394,7 @@ func TestBatchRouteMatchesPerEnvelopeRouteBitExactly(t *testing.T) {
 	}
 
 	// Metadata scrubbing: no server-side surface may leak a device ID.
-	for _, path := range []string{"/server/model/tabular", "/server/stats", "/shuffler/stats"} {
+	for _, path := range []string{"/server/model?kind=tabular", "/server/stats", "/shuffler/stats"} {
 		resp, err := http.Get(tsB.URL + path)
 		if err != nil {
 			t.Fatal(err)

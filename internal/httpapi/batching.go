@@ -15,8 +15,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,19 +125,17 @@ type BatchingClient struct {
 	stats   BatchStats
 	timer   *time.Timer
 
-	// Backoff accounting is atomic, not under b.mu: sleep() runs in the
+	// Backoff accounting is atomic, not under b.mu: the waits run in the
 	// sender goroutines with no lock held, and taking b.mu there would
 	// serialize a backoff wait against Report's hot path.
 	backoffWaits atomic.Int64
 	backoffNanos atomic.Int64
 
-	queue chan pendingBatch
-	stop  chan struct{}  // closed by Close: backoff sleeps end immediately
-	enq   sync.WaitGroup // in-flight enqueue attempts, so Close can safely close(queue)
-	wg    sync.WaitGroup // sender goroutines
-
-	jmu sync.Mutex
-	jr  *rng.Rand // retry jitter
+	queue   chan pendingBatch
+	stop    chan struct{}  // closed by Close: backoff sleeps end immediately
+	enq     sync.WaitGroup // in-flight enqueue attempts, so Close can safely close(queue)
+	wg      sync.WaitGroup // sender goroutines
+	backoff *transport.Backoff
 }
 
 // NewBatchingClient wraps c's shuffler endpoint in a batching pipeline.
@@ -151,8 +147,8 @@ func NewBatchingClient(c *Client, cfg BatchingConfig) *BatchingClient {
 		cfg:   cfg,
 		queue: make(chan pendingBatch), // unbuffered: MaxInFlight senders ARE the bound
 		stop:  make(chan struct{}),
-		jr:    rng.New(cfg.Seed).Split("batch-retry-jitter"),
 	}
+	b.backoff = transport.NewBackoff(cfg.RetryBase, cfg.MaxRetryDelay, rng.New(cfg.Seed).Split("batch-retry-jitter"), b.stop)
 	b.done = sync.NewCond(&b.mu)
 	b.timer = time.AfterFunc(time.Hour, b.flushTimer)
 	b.timer.Stop()
@@ -369,15 +365,17 @@ func (b *BatchingClient) send(pb pendingBatch) error {
 		body = body[len(transport.Magic):] // magic is a binary-framing artifact
 	}
 	url := b.c.ShufflerURL + "/reports"
-	delay := b.cfg.RetryBase
+	ladder := b.backoff.Ladder()
 	var lastErr error
 	for attempt := 0; attempt <= b.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			b.mu.Lock()
 			b.stats.Retries++
 			b.mu.Unlock()
-			b.sleep(b.jitter(delay))
-			delay *= 2
+			// Record the time actually slept (Close may cut a wait short),
+			// so the counter reflects real wall-clock spent backing off.
+			b.backoffWaits.Add(1)
+			b.backoffNanos.Add(ladder.Wait().Nanoseconds())
 		}
 		if !b.cfg.Breaker.Allow() {
 			lastErr = fmt.Errorf("httpapi: post %s: %w", url, ErrBreakerOpen)
@@ -390,7 +388,7 @@ func (b *BatchingClient) send(pb pendingBatch) error {
 			continue
 		}
 		status := resp.StatusCode
-		retryAfter := parseRetryAfter(resp.Header.Get("Retry-After"))
+		retryAfter := transport.ParseRetryAfter(resp.Header.Get("Retry-After"))
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		resp.Body.Close()
 		// Breaker outcome tracks the NODE's health, not this batch's fate: a
@@ -400,12 +398,8 @@ func (b *BatchingClient) send(pb pendingBatch) error {
 		switch {
 		case status == http.StatusAccepted:
 			return nil
-		case retryableStatus(status):
-			if retryAfter > delay {
-				// The server knows its own recovery horizon better than our
-				// doubling ladder; adopt its hint (capped) as the next base.
-				delay = retryAfter
-			}
+		case transport.RetryableStatus(status):
+			ladder.Hint(retryAfter)
 			lastErr = fmt.Errorf("httpapi: post %s: status %d: %s", url, status, msg)
 			continue
 		default:
@@ -413,66 +407,6 @@ func (b *BatchingClient) send(pb pendingBatch) error {
 		}
 	}
 	return lastErr
-}
-
-// retryableStatus reports whether a batch POST answered with status is
-// worth resending: the throttle statuses (429, 503) and request timeout
-// (408) are explicit "try again later", and any 5xx is a server-side
-// condition the same bytes may outlive.
-func retryableStatus(status int) bool {
-	return status == http.StatusTooManyRequests ||
-		status == http.StatusRequestTimeout ||
-		status >= 500
-}
-
-// parseRetryAfter decodes a Retry-After header: delay-seconds or an
-// HTTP-date (RFC 9110 §10.2.3). Zero means absent or unparseable.
-func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(strings.TrimSpace(v)); err == nil {
-		if secs < 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
-	}
-	if t, err := http.ParseTime(v); err == nil {
-		if d := time.Until(t); d > 0 {
-			return d
-		}
-	}
-	return 0
-}
-
-// sleep waits for d (capped at MaxRetryDelay), ending early when Close is
-// called so shutdown never sits out a backoff ladder.
-func (b *BatchingClient) sleep(d time.Duration) {
-	if d > b.cfg.MaxRetryDelay {
-		d = b.cfg.MaxRetryDelay
-	}
-	if d <= 0 {
-		return
-	}
-	start := time.Now()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-b.stop:
-	}
-	// Record the time actually slept (Close may cut a wait short), so the
-	// counter reflects real wall-clock spent backing off.
-	b.backoffWaits.Add(1)
-	b.backoffNanos.Add(time.Since(start).Nanoseconds())
-}
-
-// jitter scales d by a uniform factor in [0.5, 1.5).
-func (b *BatchingClient) jitter(d time.Duration) time.Duration {
-	b.jmu.Lock()
-	f := 0.5 + b.jr.Float64()
-	b.jmu.Unlock()
-	return time.Duration(float64(d) * f)
 }
 
 // ReportBatch posts envelopes as one binary batch POST and returns the

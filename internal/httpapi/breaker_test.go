@@ -99,51 +99,6 @@ func TestBreakerNilIsNoop(t *testing.T) {
 	}
 }
 
-func TestRetryableStatus(t *testing.T) {
-	for _, tc := range []struct {
-		status int
-		want   bool
-	}{
-		{http.StatusTooManyRequests, true},
-		{http.StatusRequestTimeout, true},
-		{http.StatusInternalServerError, true},
-		{http.StatusServiceUnavailable, true},
-		{http.StatusBadRequest, false},
-		{http.StatusNotFound, false},
-		{http.StatusRequestEntityTooLarge, false},
-		{http.StatusAccepted, false},
-	} {
-		if got := retryableStatus(tc.status); got != tc.want {
-			t.Errorf("retryableStatus(%d) = %v, want %v", tc.status, got, tc.want)
-		}
-	}
-}
-
-func TestParseRetryAfter(t *testing.T) {
-	if got := parseRetryAfter(""); got != 0 {
-		t.Errorf("empty = %v, want 0", got)
-	}
-	if got := parseRetryAfter("7"); got != 7*time.Second {
-		t.Errorf("\"7\" = %v, want 7s", got)
-	}
-	if got := parseRetryAfter("-3"); got != 0 {
-		t.Errorf("negative seconds = %v, want 0", got)
-	}
-	if got := parseRetryAfter("soon"); got != 0 {
-		t.Errorf("garbage = %v, want 0", got)
-	}
-	// HTTP-date form: a date in the future yields a positive delay, one in
-	// the past yields zero.
-	future := time.Now().Add(time.Hour).UTC().Format(http.TimeFormat)
-	if got := parseRetryAfter(future); got < 59*time.Minute || got > time.Hour {
-		t.Errorf("future date = %v, want ~1h", got)
-	}
-	past := time.Now().Add(-time.Hour).UTC().Format(http.TimeFormat)
-	if got := parseRetryAfter(past); got != 0 {
-		t.Errorf("past date = %v, want 0", got)
-	}
-}
-
 // A shed batch (429 + Retry-After) is retried — adopting the server's
 // hint as the backoff base, capped by MaxRetryDelay — and delivered in
 // full once the node admits it.

@@ -11,8 +11,6 @@
 //	                                ?kind=tabular|linucb|centroid; served
 //	                                from cached encoded payloads, one
 //	                                build per model version)
-//	           GET  /model/tabular  bandit.TabularState (same cached JSON)
-//	           GET  /model/linucb   bandit.LinUCBState (same cached JSON)
 //	           POST /raw            one transport.RawTuple (baseline path)
 //	           GET  /stats          server.Stats + model_reads counters
 //	node:      GET  /healthz            liveness + model shapes + read-path
@@ -110,8 +108,10 @@ func (si shufflerIngestor) SubmitTuples(ts []transport.Tuple) error {
 }
 func (si shufflerIngestor) Flush() error { si.s.Flush(); return nil }
 
-// NodeOptions wires optional durability and overload-protection hooks
-// into the node handler.
+// NodeOptions selects a node handler's optional components. A fleet role
+// is nothing more than which of them are set: a relay is a shuffler plus
+// Forward, an analyzer or combined node is a shuffler plus a server plus
+// Peer (see internal/node for the process-level assembly).
 type NodeOptions struct {
 	// Ingest handles report admission. Nil submits straight to the
 	// shuffler (no durability).
@@ -129,18 +129,29 @@ type NodeOptions struct {
 	WALPolicy WALPolicy
 	// Metrics, when non-nil, instruments every route (request counts by
 	// status class, latency and body-size histograms) plus the shuffler,
-	// server and overload counters on this registry and mounts it as
-	// GET /metrics in Prometheus text exposition format. The collectors
-	// read the same atomics and closures the JSON stats routes serialize,
-	// so /metrics, /healthz and the stats routes can never disagree.
+	// server, forwarder and overload counters on this registry and mounts
+	// it as GET /metrics in Prometheus text exposition format. The
+	// collectors read the same atomics and closures the JSON stats routes
+	// serialize, so /metrics, /healthz and the stats routes can never
+	// disagree.
 	Metrics *metrics.Registry
 	// Role names the node's fleet role on /healthz and /server/stats.
 	// Empty means "combined", the single-process default.
 	Role string
-	// Peer, when non-nil, mounts the analyzer-side peer routes
-	// (/peer/ingest, /peer/merge, /peer/status) and adds the "peers"
-	// section to /healthz and /server/stats.
+	// Peer, when non-nil on a node with a server, mounts the analyzer-side
+	// peer routes (/peer/ingest, /peer/merge, /peer/digest, /peer/contrib,
+	// /peer/status) and adds the "peers" section to /healthz and
+	// /server/stats.
 	Peer *PeerOptions
+	// Forward, when non-nil, is the forwarder wired as the shuffler's sink:
+	// /healthz gains the "downstream" and "forward" sections and /metrics
+	// the p2b_forward_* families, all reading the forwarder's own counters.
+	Forward *topology.Forwarder
+	// Shapes are the fleet's model dimensions, advertised on /healthz by a
+	// node without a server so agent preflights validate against a relay
+	// exactly as against a combined node (a node with a server derives
+	// them from it).
+	Shapes ModelShapes
 	// Board, when non-nil, reports the node's bulletin-board registration
 	// health (typically a topology.Heartbeat's Status method): a "board"
 	// section on /healthz plus the p2b_board_* metric families, so an
@@ -162,9 +173,11 @@ func NewNodeHandler(shuf *shuffler.Shuffler, srv *server.Server) http.Handler {
 	return NewNodeHandlerOpts(shuf, srv, NodeOptions{})
 }
 
-// NewNodeHandlerOpts is NewNodeHandler with durability hooks: reports are
-// admitted through opts.Ingest, POST /admin/checkpoint forces a checkpoint,
-// and /healthz reports persistence status alongside liveness.
+// NewNodeHandlerOpts is the one node assembly: /shuffler/* always,
+// /server/* when srv is non-nil and /peer/* when opts.Peer is set on top
+// of it, and /healthz, /metrics and /admin/checkpoint composed from
+// whichever components are present. A nil srv is a relay-shaped node:
+// agents cannot tell it from a combined one on the report path.
 func NewNodeHandlerOpts(shuf *shuffler.Shuffler, srv *server.Server, opts NodeOptions) http.Handler {
 	ing := opts.Ingest
 	if ing == nil {
@@ -196,73 +209,62 @@ func NewNodeHandlerOpts(shuf *shuffler.Shuffler, srv *server.Server, opts NodeOp
 	}
 	role := opts.Role
 	if role == "" {
-		role = "combined"
+		role = string(topology.RoleCombined)
 	}
-	// peers snapshots the one replication view every surface (/healthz,
-	// /server/stats, /peer/status, and — through the same underlying
-	// atomics — /metrics) reports. Nil when the node has no peer surface;
-	// the sections are then omitted everywhere.
-	var peers func() *PeerHealth
-	if opts.Peer != nil {
-		peers = func() *PeerHealth {
-			ph := &PeerHealth{PeerStatus: srv.PeerStatus()}
-			if opts.Peer.Sync != nil {
-				ph.Sync = opts.Peer.Sync()
+	var sh *serverHandler
+	if srv != nil {
+		sh = newServerHandler(srv)
+		sh.adm = opts.Admission
+		sh.overload = overload
+		sh.role = role
+		if opts.Peer != nil {
+			// peers snapshots the one replication view every surface
+			// (/healthz, /server/stats, /peer/status, and — through the
+			// same underlying atomics — /metrics) reports.
+			sh.peers = func() *PeerHealth {
+				ph := &PeerHealth{PeerStatus: srv.PeerStatus()}
+				if opts.Peer.Sync != nil {
+					ph.Sync = opts.Peer.Sync()
+				}
+				return ph
 			}
-			return ph
 		}
 	}
 	mux := http.NewServeMux()
-	sh := newServerHandler(srv)
-	sh.adm = opts.Admission
-	sh.overload = overload
-	sh.role = role
-	sh.peers = peers
 	var nm *nodeMetrics
 	if opts.Metrics != nil {
-		nm = newNodeMetrics(opts.Metrics, shuf, srv, sh, overload, opts.Peer, opts.Board)
-		sh.nm = nm
+		nm = newNodeMetrics(opts.Metrics, shuf, sh, overload, &opts)
 		mux.Handle("GET /metrics", metrics.Handler(opts.Metrics))
 	}
 	mux.Handle("/shuffler/", http.StripPrefix("/shuffler", newShufflerHandlerOpts(shuf, ing, opts.Admission, overload, nm)))
-	mux.Handle("/server/", http.StripPrefix("/server", sh.routes()))
-	if opts.Peer != nil {
-		mux.Handle("/peer/", http.StripPrefix("/peer", newPeerHandler(srv, opts.Peer, opts.Admission, nm, peers)))
+	if sh != nil {
+		sh.nm = nm
+		mux.Handle("/server/", http.StripPrefix("/server", sh.routes()))
+		if sh.peers != nil {
+			mux.Handle("/peer/", http.StripPrefix("/peer", newPeerHandler(srv, opts.Peer, opts.Admission, nm, sh.peers)))
+		}
 	}
 	mux.HandleFunc("GET /healthz", nm.wrap("healthz", func(w http.ResponseWriter, r *http.Request) {
-		cfg := srv.Config()
-		// Atomic counters only — the preflight probe every device hits
-		// must not lock-sweep the ingestion shards like full Stats does.
-		snapHits, snapBuilds := srv.SnapshotCacheStats()
-		status := struct {
-			Status string      `json:"status"`
-			Role   string      `json:"role"`
-			Model  ModelShapes `json:"model"`
-			// Read-path health: snapshot-cache and encoded-payload
-			// counters, so a fleet operator can see from one probe whether
-			// model GETs are being served from shared builds (hits/304s
-			// climbing) or are rebuilding per request.
-			Snapshots  SnapshotCacheStats `json:"snapshots"`
-			ModelReads ModelReadStats     `json:"model_reads"`
-			Overload   *OverloadStats     `json:"overload,omitempty"`
-			Peers      *PeerHealth        `json:"peers,omitempty"`
-			// Board is the node's own registration health on the bulletin
-			// board — whether discovery can find it — not the board
-			// process's health.
-			Board   *topology.HeartbeatStatus `json:"board,omitempty"`
-			Persist any                       `json:"persist,omitempty"`
-		}{
-			Status: "ok",
-			Role:   role,
-			// Shapes ride along so a fleet's preflight can validate its
-			// -k/-arms/-d flags with this one cheap probe instead of
-			// downloading full model payloads.
-			Model:      ModelShapes{K: cfg.K, Arms: cfg.Arms, D: cfg.D, Version: srv.ModelVersion()},
-			Snapshots:  SnapshotCacheStats{Hits: snapHits, Builds: snapBuilds},
-			ModelReads: sh.ReadStats(),
+		// Shapes ride along so a fleet's preflight can validate its
+		// -k/-arms/-d flags with this one cheap probe instead of
+		// downloading full model payloads.
+		status := Health{Status: "ok", Role: role, Model: opts.Shapes}
+		if sh != nil {
+			cfg := srv.Config()
+			status.Model = ModelShapes{K: cfg.K, Arms: cfg.Arms, D: cfg.D, Version: srv.ModelVersion()}
+			// Atomic counters only — the preflight probe every device hits
+			// must not lock-sweep the ingestion shards like full Stats does.
+			hits, builds := srv.SnapshotCacheStats()
+			status.Snapshots = &SnapshotCacheStats{Hits: hits, Builds: builds}
+			reads := sh.ReadStats()
+			status.ModelReads = &reads
+			if sh.peers != nil {
+				status.Peers = sh.peers()
+			}
 		}
-		if peers != nil {
-			status.Peers = peers()
+		if opts.Forward != nil {
+			fst := opts.Forward.Stats()
+			status.Downstream, status.Forward = opts.Forward.Downstream(), &fst
 		}
 		if overload != nil {
 			ov := overload()
@@ -480,19 +482,7 @@ func (h *serverHandler) ReadStats() ModelReadStats {
 
 func (h *serverHandler) routes() http.Handler {
 	mux := http.NewServeMux()
-	// All three model read routes share route="model": operators care about
-	// the read path as one surface, and the inspection variants are just
-	// fixed-kind aliases of /model.
 	mux.HandleFunc("GET /model", h.nm.wrap("model", h.serveModel))
-	// The legacy inspection routes serve the same cached encoded-JSON
-	// payloads as /model — a debugging curl costs cached bytes, not a
-	// fresh snapshot copy plus a fresh encode.
-	mux.HandleFunc("GET /model/tabular", h.nm.wrap("model", func(w http.ResponseWriter, r *http.Request) {
-		h.servePayload(w, r, ModelKindTabular, false)
-	}))
-	mux.HandleFunc("GET /model/linucb", h.nm.wrap("model", func(w http.ResponseWriter, r *http.Request) {
-		h.servePayload(w, r, ModelKindLinUCB, false)
-	}))
 	mux.HandleFunc("POST /raw", h.nm.wrap("raw", h.adm.guard(func(w http.ResponseWriter, r *http.Request) {
 		var t transport.RawTuple
 		if err := decodeJSON(w, r, &t); err != nil {
@@ -907,13 +897,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	// MaxBytesReader is handed the ResponseWriter so an over-limit body
 	// also closes the connection server-side — without it the server would
 	// dutifully read and discard the rest of an oversized upload.
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("httpapi: bad request body: %w", err)
-	}
-	return nil
+	return decodeJSONBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -956,24 +940,6 @@ func (c *Client) Flush() error {
 // SendRaw submits one raw observation to the server (baseline path).
 func (c *Client) SendRaw(t transport.RawTuple) error {
 	return c.post(c.ServerURL+"/raw", t, http.StatusAccepted)
-}
-
-// FetchTabular downloads the current global tabular model.
-func (c *Client) FetchTabular() (*bandit.TabularState, error) {
-	var s bandit.TabularState
-	if err := c.get(c.ServerURL+"/model/tabular", &s); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// FetchLinUCB downloads the current global LinUCB model.
-func (c *Client) FetchLinUCB() (*bandit.LinUCBState, error) {
-	var s bandit.LinUCBState
-	if err := c.get(c.ServerURL+"/model/linucb", &s); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // FetchedModel is the result of one conditional model fetch. When the
@@ -1075,20 +1041,25 @@ type SnapshotCacheStats struct {
 	Builds int64 `json:"builds"`
 }
 
-// Health is the decoded /healthz response of a node. Role names the
-// node's fleet role ("combined", "relay" or "analyzer"; empty from nodes
-// predating roles), and Peers carries the replication status of a node
-// with a peer surface.
+// Health is the /healthz document: what the node handler serves and what
+// FetchHealth decodes. Which sections appear is which components the node
+// runs — Snapshots, ModelReads and (with a peer surface) Peers on a node
+// with a server, Downstream and Forward on a relay, Overload on a bounded
+// or degradable node, Board with a bulletin board, Persist with a data
+// directory. Role names the fleet role ("combined", "relay" or
+// "analyzer"; empty from nodes predating roles).
 type Health struct {
 	Status     string                    `json:"status"`
 	Role       string                    `json:"role,omitempty"`
 	Model      ModelShapes               `json:"model"`
-	Snapshots  SnapshotCacheStats        `json:"snapshots"`
-	ModelReads ModelReadStats            `json:"model_reads"`
+	Downstream string                    `json:"downstream,omitempty"`
+	Forward    *topology.ForwardStats    `json:"forward,omitempty"`
+	Snapshots  *SnapshotCacheStats       `json:"snapshots,omitempty"`
+	ModelReads *ModelReadStats           `json:"model_reads,omitempty"`
 	Overload   *OverloadStats            `json:"overload,omitempty"`
 	Peers      *PeerHealth               `json:"peers,omitempty"`
 	Board      *topology.HeartbeatStatus `json:"board,omitempty"`
-	Persist    json.RawMessage           `json:"persist,omitempty"`
+	Persist    any                       `json:"persist,omitempty"`
 }
 
 // FetchHealth probes the node's /healthz route (the client must have been
@@ -1138,22 +1109,6 @@ func (c *Client) post(url string, v any, wantStatus int) error {
 	if resp.StatusCode != wantStatus {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("httpapi: post %s: status %d: %s", url, resp.StatusCode, msg)
-	}
-	return nil
-}
-
-func (c *Client) get(url string, v any) error {
-	resp, err := c.httpClient().Get(url)
-	if err != nil {
-		return fmt.Errorf("httpapi: get %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("httpapi: get %s: status %d: %s", url, resp.StatusCode, msg)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return fmt.Errorf("httpapi: decode %s: %w", url, err)
 	}
 	return nil
 }

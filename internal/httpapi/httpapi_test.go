@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"p2b/internal/bandit"
 	"p2b/internal/rng"
 	"p2b/internal/server"
 	"p2b/internal/shuffler"
@@ -78,14 +79,22 @@ func TestRemoteAddrIsStampedThenStripped(t *testing.T) {
 	}
 }
 
+// fetchTabular reads the tabular model as JSON, the way a debugging curl of
+// /server/model?kind=tabular does.
+func fetchTabular(t *testing.T, c *Client) *bandit.TabularState {
+	t.Helper()
+	fm, err := c.FetchModel(ModelKindTabular, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fm.Tabular
+}
+
 func TestFetchTabularModel(t *testing.T) {
 	client, srv, _, cleanup := newStack(t, 0)
 	defer cleanup()
 	srv.Deliver([]transport.Tuple{{Code: 3, Action: 2, Reward: 1}})
-	state, err := client.FetchTabular()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := fetchTabular(t, client)
 	if state.K != 8 || state.Arms != 4 {
 		t.Fatalf("state shape %dx%d", state.K, state.Arms)
 	}
@@ -97,10 +106,11 @@ func TestFetchTabularModel(t *testing.T) {
 func TestFetchLinUCBModel(t *testing.T) {
 	client, _, _, cleanup := newStack(t, 0)
 	defer cleanup()
-	state, err := client.FetchLinUCB()
+	fm, err := client.FetchModel(ModelKindLinUCB, "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	state := fm.Linear
 	if state.D != 3 || state.Arms != 4 {
 		t.Fatalf("state shape d=%d arms=%d", state.D, state.Arms)
 	}
@@ -224,10 +234,7 @@ func TestNodeHandlerMountsBothSurfaces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	state, err := client.FetchTabular()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := fetchTabular(t, client)
 	if state.Count[1*4+2] != 4 {
 		t.Fatalf("tuples did not reach the model through the node: %v", state.Count[1*4+2])
 	}
@@ -242,15 +249,12 @@ func TestNodeFleetRound(t *testing.T) {
 	client := NewNodeClient(ts.URL)
 
 	for u := 0; u < 64; u++ {
-		state, err := client.FetchTabular()
-		if err != nil {
-			t.Fatal(err)
-		}
+		state := fetchTabular(t, client)
 		if state.K != 4 || state.Arms != 3 {
 			t.Fatalf("model shape %dx%d", state.K, state.Arms)
 		}
 		// Every device reports its (fixed) favourite code and action.
-		err = client.Report(transport.Envelope{
+		err := client.Report(transport.Envelope{
 			Meta:  transport.Metadata{DeviceID: "d"},
 			Tuple: transport.Tuple{Code: u % 2, Action: 1, Reward: 1},
 		})
@@ -287,10 +291,7 @@ func TestEndToEndPrivatePipelineOverHTTP(t *testing.T) {
 	if err := client.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	state, err := client.FetchTabular()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := fetchTabular(t, client)
 	// The new agent should prefer action 1 at code 5.
 	best, bestVal := -1, -1.0
 	for a := 0; a < state.Arms; a++ {

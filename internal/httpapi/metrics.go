@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"p2b/internal/metrics"
-	"p2b/internal/server"
 	"p2b/internal/shuffler"
 	"p2b/internal/topology"
 )
@@ -83,10 +82,9 @@ var instrumentedRoutes = []struct {
 	{"peer_contrib", false},
 }
 
-// newRouteInstruments registers the per-route HTTP families. Both the node
-// and the relay handler register the full route set — unused routes just
-// stay at zero, and a fixed set means dashboards never chase
-// role-dependent series names.
+// newRouteInstruments registers the per-route HTTP families. Every role
+// registers the full route set — unused routes just stay at zero, and a
+// fixed set means dashboards never chase role-dependent series names.
 func newRouteInstruments(reg *metrics.Registry) map[string]*routeInstruments {
 	routes := map[string]*routeInstruments{}
 	for _, r := range instrumentedRoutes {
@@ -110,9 +108,8 @@ func newRouteInstruments(reg *metrics.Registry) map[string]*routeInstruments {
 	return routes
 }
 
-// registerShufflerMetrics registers the shuffler pipeline families —
-// shared verbatim between the combined/analyzer node and the relay, whose
-// shuffler behaves identically.
+// registerShufflerMetrics registers the shuffler pipeline families, the
+// same on every role.
 func registerShufflerMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler) {
 	reg.CounterFunc("p2b_shuffler_received_total", "",
 		"Envelopes submitted to the shuffler.",
@@ -168,18 +165,49 @@ func registerOverloadMetrics(reg *metrics.Registry, overload func() OverloadStat
 }
 
 // newNodeMetrics registers the node's metric families on reg and wires the
-// push-style instruments into the shuffler. overload is the same closure
-// /healthz and the stats routes read; nil means the node is unbounded and
+// push-style instruments into the shuffler. Like the /healthz sections,
+// which families exist is which components the node runs: sh is nil on a
+// node without a server, opts.Forward and opts.Peer are nil without a
+// forwarder or a peer surface. overload is the same closure /healthz and
+// the stats routes read; nil means the node is unbounded and
 // non-degradable, and the overload families are omitted (exactly like the
-// JSON sections). board is the registration-health closure the /healthz
-// "board" section serves; nil (no bulletin board) omits its families.
-func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, srv *server.Server, sh *serverHandler, overload func() OverloadStats, peer *PeerOptions, board func() topology.HeartbeatStatus) *nodeMetrics {
+// JSON sections). opts.Board is the registration-health closure the
+// /healthz "board" section serves; nil (no bulletin board) omits its
+// families.
+func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, sh *serverHandler, overload func() OverloadStats, opts *NodeOptions) *nodeMetrics {
 	nm := &nodeMetrics{routes: newRouteInstruments(reg)}
 
 	// Shuffler pipeline: counters mirror the mutex-guarded Stats that
 	// GET /shuffler/stats serves; the batch-size distribution and cut
 	// reasons are push-style (they exist only at process time).
 	registerShufflerMetrics(reg, shuf)
+	if overload != nil {
+		registerOverloadMetrics(reg, overload)
+	}
+	if opts.Board != nil {
+		registerBoardMetrics(reg, opts.Board)
+	}
+	if fwd := opts.Forward; fwd != nil {
+		reg.CounterFunc("p2b_forward_batches_total", "",
+			"Privacy batches forwarded downstream (including duplicate-acked).",
+			func() float64 { return float64(fwd.Stats().Batches) })
+		reg.CounterFunc("p2b_forward_tuples_total", "",
+			"Tuples inside forwarded batches.",
+			func() float64 { return float64(fwd.Stats().Tuples) })
+		reg.CounterFunc("p2b_forward_duplicates_total", "",
+			"Forwarded batches the analyzer acked as already applied.",
+			func() float64 { return float64(fwd.Stats().Duplicates) })
+		reg.CounterFunc("p2b_forward_retries_total", "",
+			"Forward send attempts beyond the first.",
+			func() float64 { return float64(fwd.Stats().Retries) })
+		reg.CounterFunc("p2b_forward_dropped_total", "",
+			"Batches abandoned after the retry budget; alert on any growth.",
+			func() float64 { return float64(fwd.Stats().Dropped) })
+	}
+	if sh == nil {
+		return nm
+	}
+	srv, peer := sh.s, opts.Peer
 
 	// Server ingestion and read path: all lock-free atomic mirrors, so a
 	// scrape never serializes against Deliver.
@@ -215,13 +243,6 @@ func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, srv *server.
 		"Conditional model fetches answered 304 Not Modified.",
 		func() float64 { return float64(sh.notModified.Load()) })
 
-	if overload != nil {
-		registerOverloadMetrics(reg, overload)
-	}
-	if board != nil {
-		registerBoardMetrics(reg, board)
-	}
-
 	if peer != nil {
 		// Replication counters: the same atomics PeerStatus snapshots for
 		// the JSON surfaces. Aggregate totals only — per-origin positions
@@ -243,24 +264,19 @@ func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, srv *server.
 			// Outbound anti-entropy health, from the same Status() the
 			// JSON surfaces serialize. Lag is the age of the OLDEST peer's
 			// last successful push — the alerting-relevant worst case.
+			syncTotal := func(field func(topology.SyncStatus) int64) float64 {
+				var n int64
+				for _, st := range peer.Sync() {
+					n += field(st)
+				}
+				return float64(n)
+			}
 			reg.CounterFunc("p2b_peer_sync_pushes_total", "",
 				"Successful outbound peer state pushes, summed over peers.",
-				func() float64 {
-					var n int64
-					for _, st := range peer.Sync() {
-						n += st.Pushes
-					}
-					return float64(n)
-				})
+				func() float64 { return syncTotal(func(st topology.SyncStatus) int64 { return st.Pushes }) })
 			reg.CounterFunc("p2b_peer_sync_errors_total", "",
 				"Failed outbound peer state pushes, summed over peers.",
-				func() float64 {
-					var n int64
-					for _, st := range peer.Sync() {
-						n += st.Errors
-					}
-					return float64(n)
-				})
+				func() float64 { return syncTotal(func(st topology.SyncStatus) int64 { return st.Errors }) })
 			reg.GaugeFunc("p2b_peer_sync_max_lag_seconds", "",
 				"Age of the oldest peer's last successful state push (-1 until every peer has been reached once).",
 				func() float64 { return peerSyncMaxLag(peer.Sync(), time.Now()) })
@@ -268,31 +284,13 @@ func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, srv *server.
 			// All zero on a push-only node.
 			reg.CounterFunc("p2b_peer_sync_pulls_total", "",
 				"Completed digest rounds, summed over peers.",
-				func() float64 {
-					var n int64
-					for _, st := range peer.Sync() {
-						n += st.Pulls
-					}
-					return float64(n)
-				})
+				func() float64 { return syncTotal(func(st topology.SyncStatus) int64 { return st.Pulls }) })
 			reg.CounterFunc("p2b_peer_sync_pull_errors_total", "",
 				"Failed digest rounds (digest fetch, contrib fetch or apply), summed over peers.",
-				func() float64 {
-					var n int64
-					for _, st := range peer.Sync() {
-						n += st.PullErrors
-					}
-					return float64(n)
-				})
+				func() float64 { return syncTotal(func(st topology.SyncStatus) int64 { return st.PullErrors }) })
 			reg.CounterFunc("p2b_peer_sync_fetched_total", "",
 				"Contributions fetched and applied via digest rounds, summed over peers.",
-				func() float64 {
-					var n int64
-					for _, st := range peer.Sync() {
-						n += st.Fetched
-					}
-					return float64(n)
-				})
+				func() float64 { return syncTotal(func(st topology.SyncStatus) int64 { return st.Fetched }) })
 		}
 	}
 	return nm
@@ -333,36 +331,6 @@ func registerBoardMetrics(reg *metrics.Registry, board func() topology.Heartbeat
 			}
 			return 0
 		})
-}
-
-// newRelayMetrics is the relay handler's registry wiring: the same route
-// and shuffler families a combined node registers (dashboards reuse), plus
-// the forwarder's downstream counters in place of server ingestion.
-func newRelayMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, fwd *topology.Forwarder, overload func() OverloadStats, board func() topology.HeartbeatStatus) *nodeMetrics {
-	nm := &nodeMetrics{routes: newRouteInstruments(reg)}
-	registerShufflerMetrics(reg, shuf)
-	reg.CounterFunc("p2b_forward_batches_total", "",
-		"Privacy batches forwarded downstream (including duplicate-acked).",
-		func() float64 { return float64(fwd.Stats().Batches) })
-	reg.CounterFunc("p2b_forward_tuples_total", "",
-		"Tuples inside forwarded batches.",
-		func() float64 { return float64(fwd.Stats().Tuples) })
-	reg.CounterFunc("p2b_forward_duplicates_total", "",
-		"Forwarded batches the analyzer acked as already applied.",
-		func() float64 { return float64(fwd.Stats().Duplicates) })
-	reg.CounterFunc("p2b_forward_retries_total", "",
-		"Forward send attempts beyond the first.",
-		func() float64 { return float64(fwd.Stats().Retries) })
-	reg.CounterFunc("p2b_forward_dropped_total", "",
-		"Batches abandoned after the retry budget; alert on any growth.",
-		func() float64 { return float64(fwd.Stats().Dropped) })
-	if overload != nil {
-		registerOverloadMetrics(reg, overload)
-	}
-	if board != nil {
-		registerBoardMetrics(reg, board)
-	}
-	return nm
 }
 
 // statusRecorder captures the response status for the class counters.

@@ -60,9 +60,6 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := client.FetchTabular(); err != nil {
-		t.Fatal(err)
-	}
 	fm, err := client.FetchModel(ModelKindTabular, "", false)
 	if err != nil {
 		t.Fatal(err)

@@ -209,7 +209,7 @@ func TestModelKindsAndErrors(t *testing.T) {
 func TestModelRoutesRejectNonGET(t *testing.T) {
 	client, _, cleanup := modelStack(t)
 	defer cleanup()
-	for _, path := range []string{"/model", "/model/tabular", "/model/linucb", "/stats"} {
+	for _, path := range []string{"/model", "/stats"} {
 		resp, err := http.Post(client.ServerURL+path, "application/json", strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
@@ -281,8 +281,9 @@ func TestRevalidationNeverBuildsSnapshot(t *testing.T) {
 
 // TestPayloadCacheSharesEncodedBytes pins the steady-state body path: one
 // encode per (kind, version, representation), every later GET served from
-// the cached bytes, and the legacy inspection routes sharing the same
-// cached JSON payload.
+// the cached bytes — including the Accept-less curl the CI scripts
+// compare, which gets exactly json.Marshal(snapshot) plus a newline (what
+// the deleted /model/tabular route served) — and the deleted routes 404.
 func TestPayloadCacheSharesEncodedBytes(t *testing.T) {
 	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1})
 	deliver(srv, 5)
@@ -319,9 +320,27 @@ func TestPayloadCacheSharesEncodedBytes(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatal("two GETs at one version returned different bytes")
 	}
-	legacy := get("/model/tabular", "")
-	if string(legacy) != string(a) {
-		t.Fatalf("legacy route bytes differ from the cached /model payload:\n%s\nvs\n%s", legacy, a)
+	curl := get("/model?kind=tabular", "")
+	if string(curl) != string(a) {
+		t.Fatalf("Accept-less bytes differ from the cached JSON payload:\n%s\nvs\n%s", curl, a)
+	}
+	tab, _ := srv.TabularModel()
+	want, err := json.Marshal(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(curl) != string(want)+"\n" {
+		t.Fatalf("?kind=tabular JSON is not the snapshot's canonical encoding:\n%s\nvs\n%s", curl, want)
+	}
+	for _, gone := range []string{"/model/tabular", "/model/linucb"} {
+		resp, err := http.Get(ts.URL + gone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s answered %d, want 404: the legacy route is deleted", gone, resp.StatusCode)
+		}
 	}
 	rs := h.ReadStats()
 	if rs.PayloadBuilds != 1 {

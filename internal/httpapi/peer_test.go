@@ -318,7 +318,7 @@ func TestRelayHandlerEndToEnd(t *testing.T) {
 	}
 
 	// The relay's /healthz names its role, shapes and forward counters.
-	var health RelayHealth
+	var health Health
 	getJSON(t, relayTS.URL+"/healthz", &health)
 	if health.Role != "relay" || health.Status != "ok" {
 		t.Fatalf("relay healthz = %+v", health)

@@ -6,6 +6,7 @@
 package topology_test
 
 import (
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -27,9 +28,9 @@ type digestNode struct {
 
 func newDigestNode(t *testing.T, origin string, epoch, seed uint64, token string) *digestNode {
 	t.Helper()
-	srv := eqServer()
+	srv := server.New(eqConfig(topology.RoleAnalyzer, origin, seed).Server)
 	shuf := shuffler.New(shuffler.Config{BatchSize: eqBatch, Threshold: eqThr}, srv, rng.New(seed))
-	ts := newTestServer(t, httpapi.NewNodeHandlerOpts(shuf, srv, httpapi.NodeOptions{
+	ts := httptest.NewServer(httpapi.NewNodeHandlerOpts(shuf, srv, httpapi.NodeOptions{
 		Role: string(topology.RoleAnalyzer),
 		Peer: &httpapi.PeerOptions{
 			Origin: origin,
@@ -38,6 +39,7 @@ func newDigestNode(t *testing.T, origin string, epoch, seed uint64, token string
 			Token:  token,
 		},
 	}))
+	t.Cleanup(ts.Close)
 	return &digestNode{srv: srv, shuf: shuf, url: ts.URL}
 }
 

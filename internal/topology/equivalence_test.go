@@ -19,7 +19,7 @@ import (
 	"time"
 
 	"p2b/internal/httpapi"
-	"p2b/internal/metrics"
+	"p2b/internal/node"
 	"p2b/internal/rng"
 	"p2b/internal/server"
 	"p2b/internal/shuffler"
@@ -32,8 +32,36 @@ const (
 	eqBatch, eqThr   = 8, 4
 )
 
-func eqServer() *server.Server {
-	return server.New(server.Config{K: eqK, Arms: eqArms, D: eqD, Alpha: 1, Seed: 1, Shards: 1})
+// eqConfig is one fleet member under the exactness conditions: a single
+// ingestion shard, the shared batch size and threshold, and its own
+// shuffler seed (fold order must not matter, so every node gets another).
+func eqConfig(role topology.Role, name string, seed uint64) node.Config {
+	return node.Config{
+		Role:     role,
+		Name:     name,
+		Server:   server.Config{K: eqK, Arms: eqArms, D: eqD, Alpha: 1, Seed: seed, Shards: 1},
+		Shuffler: shuffler.Config{BatchSize: eqBatch, Threshold: eqThr},
+	}
+}
+
+// eqOpen assembles a node exactly as p2bnode would.
+func eqOpen(t *testing.T, cfg node.Config) *node.Node {
+	t.Helper()
+	cfg.Logf = t.Logf
+	n, err := node.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// eqServe opens an in-memory node and serves it for the test's lifetime.
+func eqServe(t *testing.T, cfg node.Config) (*node.Node, string) {
+	t.Helper()
+	n := eqOpen(t, cfg)
+	ts := httptest.NewServer(n.Handler())
+	t.Cleanup(ts.Close)
+	return n, ts.URL
 }
 
 // eqBatches builds uniform batches: every tuple in a batch shares one
@@ -74,13 +102,13 @@ func submit(t *testing.T, nodeURL string, batches [][]transport.Tuple) {
 
 func fetchModel(t *testing.T, nodeURL string) string {
 	t.Helper()
-	resp, err := http.Get(nodeURL + "/server/model/tabular")
+	resp, err := http.Get(nodeURL + "/server/model?kind=tabular")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /server/model/tabular: status %d", resp.StatusCode)
+		t.Fatalf("GET /server/model?kind=tabular: status %d", resp.StatusCode)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -94,29 +122,14 @@ func TestPartitionedFleetMatchesSingleNodeByteForByte(t *testing.T) {
 	partA, partB := batches[:6], batches[6:]
 
 	// Reference: one combined node sees everything.
-	singleSrv := eqServer()
-	singleShuf := shuffler.New(shuffler.Config{BatchSize: eqBatch, Threshold: eqThr}, singleSrv, rng.New(5))
-	single := httptest.NewServer(httpapi.NewNodeHandlerOpts(singleShuf, singleSrv, httpapi.NodeOptions{}))
-	defer single.Close()
-	submit(t, single.URL, partA)
-	submit(t, single.URL, partB)
+	_, singleURL := eqServe(t, eqConfig(topology.RoleCombined, "single", 5))
+	submit(t, singleURL, partA)
+	submit(t, singleURL, partB)
 
 	// Fleet: two analyzers peered with each other...
-	a1Srv, a2Srv := eqServer(), eqServer()
-	a1Shuf := shuffler.New(shuffler.Config{BatchSize: eqBatch, Threshold: eqThr}, a1Srv, rng.New(6))
-	a2Shuf := shuffler.New(shuffler.Config{BatchSize: eqBatch, Threshold: eqThr}, a2Srv, rng.New(7))
-	a1 := httptest.NewServer(httpapi.NewNodeHandlerOpts(a1Shuf, a1Srv, httpapi.NodeOptions{
-		Metrics: metrics.NewRegistry(),
-		Role:    string(topology.RoleAnalyzer),
-		Peer:    &httpapi.PeerOptions{Origin: "analyzer-1"},
-	}))
-	defer a1.Close()
-	a2 := httptest.NewServer(httpapi.NewNodeHandlerOpts(a2Shuf, a2Srv, httpapi.NodeOptions{
-		Metrics: metrics.NewRegistry(),
-		Role:    string(topology.RoleAnalyzer),
-		Peer:    &httpapi.PeerOptions{Origin: "analyzer-2"},
-	}))
-	defer a2.Close()
+	a1, a1URL := eqServe(t, eqConfig(topology.RoleAnalyzer, "analyzer-1", 6))
+	a2, a2URL := eqServe(t, eqConfig(topology.RoleAnalyzer, "analyzer-2", 7))
+	a1Srv, a2Srv := a1.Server(), a2.Server()
 
 	// ...fed by two relays, one per partition, each forwarding to its own
 	// analyzer.
@@ -124,24 +137,15 @@ func TestPartitionedFleetMatchesSingleNodeByteForByte(t *testing.T) {
 		origin     string
 		downstream string
 		part       [][]transport.Tuple
-		seed       uint64
 	}{
-		{"relay-1", a1.URL, partA, 8},
-		{"relay-2", a2.URL, partB, 9},
+		{"relay-1", a1URL, partA},
+		{"relay-2", a2URL, partB},
 	} {
-		fwd, err := topology.NewForwarder(tc.downstream, topology.ForwarderOptions{
-			Origin: tc.origin, RetryBase: time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		relayShuf := shuffler.New(shuffler.Config{BatchSize: eqBatch, Threshold: eqThr}, fwd, rng.New(10+uint64(i)))
-		relay := httptest.NewServer(httpapi.NewRelayHandler(relayShuf, fwd, httpapi.RelayOptions{
-			Shapes: httpapi.ModelShapes{K: eqK, Arms: eqArms, D: eqD},
-		}))
-		defer relay.Close()
-		submit(t, relay.URL, tc.part)
-		if st := fwd.Stats(); st.Dropped != 0 {
+		cfg := eqConfig(topology.RoleRelay, tc.origin, 10+uint64(i))
+		cfg.Downstream = tc.downstream
+		relay, relayURL := eqServe(t, cfg)
+		submit(t, relayURL, tc.part)
+		if st := relay.Forwarder().Stats(); st.Dropped != 0 {
 			t.Fatalf("%s dropped %d batches", tc.origin, st.Dropped)
 		}
 	}
@@ -153,8 +157,8 @@ func TestPartitionedFleetMatchesSingleNodeByteForByte(t *testing.T) {
 		from   *server.Server
 		to     string
 	}{
-		{"analyzer-1", a1Srv, a2.URL},
-		{"analyzer-2", a2Srv, a1.URL},
+		{"analyzer-1", a1Srv, a2URL},
+		{"analyzer-2", a2Srv, a1URL},
 	} {
 		peering, err := topology.NewPeering(topology.PeeringOptions{
 			Origin:       p.origin,
@@ -174,11 +178,11 @@ func TestPartitionedFleetMatchesSingleNodeByteForByte(t *testing.T) {
 	}
 
 	// Every analyzer now serves the single-node model, byte for byte.
-	want := fetchModel(t, single.URL)
-	if got := fetchModel(t, a1.URL); got != want {
+	want := fetchModel(t, singleURL)
+	if got := fetchModel(t, a1URL); got != want {
 		t.Errorf("analyzer-1 model diverged from single node:\n got %s\nwant %s", got, want)
 	}
-	if got := fetchModel(t, a2.URL); got != want {
+	if got := fetchModel(t, a2URL); got != want {
 		t.Errorf("analyzer-2 model diverged from single node:\n got %s\nwant %s", got, want)
 	}
 
@@ -198,17 +202,11 @@ func TestPartitionedFleetMatchesSingleNodeByteForByte(t *testing.T) {
 // guard does deduplicate, so the gap stays a relay-restart property and
 // never a steady-state one.
 func TestRelayRetransmitSameEpochIsDeduplicated(t *testing.T) {
-	aSrv := eqServer()
-	aShuf := shuffler.New(shuffler.Config{BatchSize: eqBatch, Threshold: 0}, aSrv, rng.New(6))
-	a := httptest.NewServer(httpapi.NewNodeHandlerOpts(aShuf, aSrv, httpapi.NodeOptions{
-		Role: string(topology.RoleAnalyzer),
-		Peer: &httpapi.PeerOptions{Origin: "analyzer-1"},
-	}))
-	defer a.Close()
+	a, aURL := eqServe(t, eqConfig(topology.RoleAnalyzer, "analyzer-1", 6))
 
 	batches := eqBatches(3, 5)
 	deliverAll := func() {
-		fwd, err := topology.NewForwarder(a.URL, topology.ForwarderOptions{
+		fwd, err := topology.NewForwarder(aURL, topology.ForwarderOptions{
 			Origin: "relay-1", Epoch: 99, RetryBase: time.Millisecond,
 		})
 		if err != nil {
@@ -219,12 +217,12 @@ func TestRelayRetransmitSameEpochIsDeduplicated(t *testing.T) {
 		}
 	}
 	deliverAll()
-	want := fetchModel(t, a.URL)
+	want := fetchModel(t, aURL)
 	deliverAll() // the "restarted relay re-forwards its whole log" case
-	if got := fetchModel(t, a.URL); got != want {
+	if got := fetchModel(t, aURL); got != want {
 		t.Fatal("re-forwarded batches changed the model: duplicate guard failed")
 	}
-	_, _, rb, rd := aSrv.PeerCounters()
+	_, _, rb, rd := a.Server().PeerCounters()
 	if rb != 3 || rd != 3 {
 		t.Fatalf("relay counters = applied %d duplicates %d, want 3/3", rb, rd)
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"p2b/internal/rng"
 	"p2b/internal/transport"
 )
 
@@ -51,11 +52,10 @@ type ForwarderOptions struct {
 	// retries — backpressure into admission is the desired behavior when
 	// the downstream is struggling.
 	MaxRetries int
-	// RetryBase is the first backoff delay, doubling per attempt
-	// (default 100ms).
+	// RetryBase is the first backoff delay, doubling per attempt under
+	// jitter up to 10s (default 100ms). A Retry-After on the analyzer's
+	// 429/503 replaces a smaller delay.
 	RetryBase time.Duration
-	// Client overrides the HTTP client (tests).
-	Client *http.Client
 	// Logf receives forward failures. Nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -73,6 +73,7 @@ type Forwarder struct {
 	downstream string
 	opts       ForwarderOptions
 	client     *http.Client
+	backoff    *transport.Backoff
 
 	mu    sync.Mutex
 	epoch uint64
@@ -100,19 +101,11 @@ func NewForwarder(downstream string, opts ForwarderOptions) (*Forwarder, error) 
 	if opts.RetryBase <= 0 {
 		opts.RetryBase = 100 * time.Millisecond
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	return &Forwarder{downstream: downstream, opts: opts, client: client, epoch: opts.Epoch}, nil
-}
-
-// Epoch returns the epoch sequence numbers are currently stamped with:
-// the boot nonce, unless a recovered cursor replaced it.
-func (f *Forwarder) Epoch() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.epoch
+	client := &http.Client{Timeout: 30 * time.Second}
+	// Jitter keyed on the origin: relays shed by one analyzer at the same
+	// moment come back spread out.
+	backoff := transport.NewBackoff(opts.RetryBase, 10*time.Second, rng.New(1).Split("forward-retry").Split(opts.Origin), nil)
+	return &Forwarder{downstream: downstream, opts: opts, client: client, backoff: backoff, epoch: opts.Epoch}, nil
 }
 
 // Cursor returns the forwarding position: the stamping epoch and the last
@@ -205,20 +198,18 @@ func (f *Forwarder) Deliver(batch []transport.Tuple) {
 	}
 }
 
-// sendLocked posts one encoded batch, retrying transient failures with
-// doubling backoff. It returns whether the analyzer applied the batch
-// (false = duplicate, which is success: the data is already in).
+// sendLocked posts one encoded batch, retrying transient failures on the
+// shared backoff ladder (honoring the admission gate's Retry-After). It
+// returns whether the analyzer applied the batch (false = duplicate, which
+// is success: the data is already in).
 func (f *Forwarder) sendLocked(seq uint64, body []byte, n int) (bool, error) {
 	url := f.downstream + "/peer/ingest"
-	delay := f.opts.RetryBase
+	ladder := f.backoff.Ladder()
 	var lastErr error
 	for attempt := 0; attempt <= f.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
 			f.stats.Retries++
-			time.Sleep(delay)
-			if delay < 10*time.Second {
-				delay *= 2
-			}
+			ladder.Wait()
 		}
 		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 		if err != nil {
@@ -239,9 +230,10 @@ func (f *Forwarder) sendLocked(seq uint64, body []byte, n int) (bool, error) {
 		applied, err := decodePeerAck(resp)
 		if err != nil {
 			lastErr = err
-			if !retryablePeerStatus(resp.StatusCode) {
+			if !transport.RetryableStatus(resp.StatusCode) {
 				return false, err
 			}
+			ladder.Hint(transport.ParseRetryAfter(resp.Header.Get("Retry-After")))
 			continue
 		}
 		return applied, nil
@@ -267,14 +259,4 @@ func decodePeerAck(resp *http.Response) (bool, error) {
 		return false, fmt.Errorf("topology: decoding peer ack: %w", err)
 	}
 	return ack.Applied, nil
-}
-
-// retryablePeerStatus reports whether a peer response status is transient:
-// overload sheds and 5xx are retried, everything else (auth failures,
-// malformed-request 4xx) is sticky — retrying a 401 forever would only
-// hide the misconfiguration.
-func retryablePeerStatus(status int) bool {
-	return status == http.StatusTooManyRequests ||
-		status == http.StatusRequestTimeout ||
-		status >= 500
 }

@@ -14,10 +14,12 @@ import (
 )
 
 // peerSink is a test /peer/ingest endpoint recording delivered batches and
-// optionally failing the first failN requests with failStatus.
+// optionally failing the first failN requests with failStatus (and a
+// Retry-After header when retryAfter is set).
 type peerSink struct {
 	failN      atomic.Int64
 	failStatus int
+	retryAfter string
 
 	mu      chan struct{} // 1-token semaphore; tests are sequential anyway
 	batches [][]transport.Tuple
@@ -36,6 +38,9 @@ func (s *peerSink) handler(t *testing.T) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.failN.Load() > 0 {
 			s.failN.Add(-1)
+			if s.retryAfter != "" {
+				w.Header().Set("Retry-After", s.retryAfter)
+			}
 			http.Error(w, "induced failure", s.failStatus)
 			return
 		}
@@ -131,6 +136,34 @@ func TestForwarderRetriesTransientFailures(t *testing.T) {
 	}
 	if len(sink.batches) != 1 {
 		t.Fatalf("downstream applied %d batches", len(sink.batches))
+	}
+}
+
+// A shed from the analyzer's admission gate paces the relay: the
+// Retry-After is a floor on the one wait it causes, and the batch still
+// lands exactly once.
+func TestForwarderHonorsRetryAfter(t *testing.T) {
+	sink := newPeerSink()
+	sink.failStatus = http.StatusTooManyRequests
+	sink.retryAfter = "1"
+	sink.failN.Store(1)
+	ts := httptest.NewServer(sink.handler(t))
+	defer ts.Close()
+
+	fwd, err := NewForwarder(ts.URL, ForwarderOptions{Origin: "relay-1", RetryBase: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	fwd.Deliver(testBatch(4))
+	if elapsed := time.Since(start); elapsed < time.Second {
+		t.Fatalf("delivered %v after a 429 with Retry-After: 1 — the hint was ignored", elapsed)
+	}
+	if st := fwd.Stats(); st.Batches != 1 || st.Retries != 1 || st.Dropped != 0 || st.Duplicates != 0 {
+		t.Fatalf("stats = %+v, want one batch delivered on one retry", st)
+	}
+	if len(sink.batches) != 1 {
+		t.Fatalf("downstream applied %d batches, want exactly 1", len(sink.batches))
 	}
 }
 

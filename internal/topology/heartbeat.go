@@ -7,11 +7,11 @@
 package topology
 
 import (
-	"hash/fnv"
 	"sync"
 	"time"
 
 	"p2b/internal/rng"
+	"p2b/internal/transport"
 )
 
 // HeartbeatStatus is the board-registration health of one node: how many
@@ -44,10 +44,6 @@ type HeartbeatOptions struct {
 	// published as the node's Degraded flag, letting discovery steer
 	// agents away from a node that is up but limping.
 	Degraded func() bool
-	// Seed feeds the backoff jitter stream. Zero derives a seed from the
-	// node name, so a rack of nodes rebooting together still spreads its
-	// registration retries instead of hammering the board in lockstep.
-	Seed uint64
 }
 
 // Heartbeat keeps one node's announcement alive on the bulletin board.
@@ -58,7 +54,10 @@ type Heartbeat struct {
 	ttl   time.Duration
 	logf  func(format string, args ...any)
 	probe func() bool
-	jit   *rng.Rand
+	// retry is the startup registration ladder. Its jitter stream derives
+	// from the node name, so a rack of nodes rebooting together spreads its
+	// retries instead of hammering the board in lockstep.
+	retry transport.Ladder
 
 	stop chan struct{}
 	done chan struct{}
@@ -81,20 +80,21 @@ func NewHeartbeat(boardURL string, n Node, opts HeartbeatOptions) *Heartbeat {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(n.Name))
-		seed = h.Sum64()
+	// Startup backoff: begin well under a beat and double up to the beat
+	// interval; the floor keeps a tiny test TTL from busy-looping.
+	base := ttl / 30
+	if base < 50*time.Millisecond {
+		base = 50 * time.Millisecond
 	}
+	stop := make(chan struct{})
 	return &Heartbeat{
 		board: boardURL,
 		node:  n,
 		ttl:   ttl,
 		logf:  logf,
 		probe: opts.Degraded,
-		jit:   rng.New(seed).Split("board-heartbeat"),
-		stop:  make(chan struct{}),
+		retry: transport.NewBackoff(base, ttl/3, rng.New(1).Split("board-heartbeat").Split(n.Name), stop).Ladder(),
+		stop:  stop,
 		done:  make(chan struct{}),
 	}
 }
@@ -133,26 +133,15 @@ func (h *Heartbeat) Status() HeartbeatStatus {
 
 func (h *Heartbeat) run() {
 	defer close(h.done)
-	beat := h.ttl / 3
-	// Startup backoff: begin well under a beat and double up to the beat
-	// interval. Jitter spreads simultaneous reboots; the floor keeps a
-	// tiny test TTL from busy-looping.
-	backoff := h.ttl / 30
-	if backoff < 50*time.Millisecond {
-		backoff = 50 * time.Millisecond
-	}
 	for h.register() != nil {
-		wait := backoff/2 + time.Duration(h.jit.IntN(int(backoff)))
-		if backoff *= 2; backoff > beat {
-			backoff = beat
-		}
+		h.retry.Wait()
 		select {
 		case <-h.stop:
 			return
-		case <-time.After(wait):
+		default:
 		}
 	}
-	t := time.NewTicker(beat)
+	t := time.NewTicker(h.ttl / 3)
 	defer t.Stop()
 	for {
 		select {

@@ -71,6 +71,32 @@ func TestHeartbeatRetriesUntilBoardAppears(t *testing.T) {
 	}
 }
 
+// Nodes that reboot together must not retry registration together: the
+// startup ladder's jitter derives from the node name, so two names draw
+// different waits against the same dead board while one name reproduces
+// its own sequence boot after boot.
+func TestHeartbeatJitterDerivesFromName(t *testing.T) {
+	const deadBoard = "http://127.0.0.1:1"
+	waits := func(name string) [4]time.Duration {
+		hb := NewHeartbeat(deadBoard, Node{Name: name, Role: RoleRelay, URL: "http://r"}, HeartbeatOptions{})
+		if err := hb.register(); err == nil {
+			t.Fatal("registration against a dead board succeeded")
+		}
+		var w [4]time.Duration
+		for i := range w {
+			w[i] = hb.retry.Next()
+		}
+		return w
+	}
+	a, b := waits("relay-1"), waits("relay-2")
+	if a[0] == b[0] {
+		t.Fatalf("relay-1 and relay-2 both wait %v first: the fleet retries in lockstep", a[0])
+	}
+	if again := waits("relay-1"); again != a {
+		t.Fatalf("relay-1 waits %v, then %v on the next boot: jitter is not a function of the name", a, again)
+	}
+}
+
 func TestHeartbeatAnnouncesDegradeState(t *testing.T) {
 	reg, err := NewRegistry(nil, time.Second)
 	if err != nil {

@@ -198,12 +198,6 @@ func NewPeering(opts PeeringOptions) (*Peering, error) {
 	return p, nil
 }
 
-// Epoch returns the boot nonce qualifying this peering's push sequence
-// numbers. A node serving its own contribution on /peer/contrib must
-// advertise the same epoch, so a position learned from a push and one
-// learned from a digest compare as the same stream.
-func (p *Peering) Epoch() uint64 { return p.opts.Epoch }
-
 // Start launches the periodic loop: pushes every Interval, and — when the
 // digest round is enabled — pulls every DigestInterval. One goroutine
 // drives both, so a push cycle and a pull round never interleave. Stop it

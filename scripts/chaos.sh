@@ -74,7 +74,7 @@ echo "== reference run: same fleet, clean network, healthy disk =="
 NODE_PID=$!
 wait_healthy "$URL_NODE"
 "$WORK/bin/p2bagent" -node "$URL_NODE" "${AGENT_FLAGS[@]}" | tee "$WORK/agent_clean.log"
-curl -fsS "$URL_NODE/server/model/tabular" >"$WORK/clean_tabular.json"
+curl -fsS "$URL_NODE/server/model?kind=tabular" >"$WORK/clean_tabular.json"
 curl -fsS "$URL_NODE/shuffler/stats" >"$WORK/clean_stats.json"
 kill -9 "$NODE_PID"
 NODE_PID=""
@@ -98,7 +98,7 @@ wait_healthy "$URL_PROXY"
 "$WORK/bin/p2bagent" -node "$URL_PROXY" "${AGENT_FLAGS[@]}" | tee "$WORK/agent_chaos.log"
 
 # End-of-run measurement goes direct to the node, not through the proxy.
-curl -fsS "$URL_NODE/server/model/tabular" >"$WORK/chaos_tabular.json"
+curl -fsS "$URL_NODE/server/model?kind=tabular" >"$WORK/chaos_tabular.json"
 curl -fsS "$URL_NODE/shuffler/stats" >"$WORK/chaos_stats.json"
 curl -fsS "$URL_NODE/healthz" >"$WORK/chaos_healthz.json"
 curl -fsS "$URL_PROXY/chaosz" >"$WORK/chaosz.json"

@@ -88,8 +88,8 @@ NODE_PID=$!
 wait_healthy "$URL_A"
 curl -fsS "$URL_A/healthz" >"$WORK/healthz.json"
 grep -q '"checkpoint_seq"' "$WORK/healthz.json"
-curl -fsS "$URL_A/server/model/tabular" >"$WORK/recovered_tabular.json"
-curl -fsS "$URL_A/server/model/linucb" >"$WORK/recovered_linucb.json"
+curl -fsS "$URL_A/server/model?kind=tabular" >"$WORK/recovered_tabular.json"
+curl -fsS "$URL_A/server/model?kind=linucb" >"$WORK/recovered_linucb.json"
 curl -fsS "$URL_A/shuffler/stats" >"$WORK/recovered_shuffler_stats.json"
 kill -9 "$NODE_PID"
 NODE_PID=""
@@ -100,8 +100,8 @@ echo "== clean run: replay the frozen log into a never-crashed node =="
 CLEAN_PID=$!
 wait_healthy "$URL_B"
 "$WORK/bin/p2bwal" -dir "$WORK/data.frozen" -node "$URL_B" replay
-curl -fsS "$URL_B/server/model/tabular" >"$WORK/clean_tabular.json"
-curl -fsS "$URL_B/server/model/linucb" >"$WORK/clean_linucb.json"
+curl -fsS "$URL_B/server/model?kind=tabular" >"$WORK/clean_tabular.json"
+curl -fsS "$URL_B/server/model?kind=linucb" >"$WORK/clean_linucb.json"
 curl -fsS "$URL_B/shuffler/stats" >"$WORK/clean_shuffler_stats.json"
 kill -9 "$CLEAN_PID"
 CLEAN_PID=""

@@ -103,7 +103,7 @@ PIDS+=($!)
 wait_healthy "$URL_SINGLE"
 for ((b = 0; b < NBATCH; b++)); do post_batch "$URL_SINGLE" "$b"; done
 curl -fsS -X POST "$URL_SINGLE/shuffler/flush" >/dev/null
-curl -fsS "$URL_SINGLE/server/model/tabular" >"$WORK/single_tabular.json"
+curl -fsS "$URL_SINGLE/server/model?kind=tabular" >"$WORK/single_tabular.json"
 
 echo "== fleet: analyzer (stays up) + durable relay =="
 "$WORK/bin/p2bnode" -addr ":$PORT_ANALYZER" "${NODE_FLAGS[@]}" \
@@ -198,7 +198,7 @@ echo "== compare: fleet model must be bit-identical to the reference =="
 # short settle window before declaring divergence.
 converged=""
 for _ in $(seq 1 50); do
-  curl -fsS "$URL_ANALYZER/server/model/tabular" >"$WORK/analyzer_tabular.json"
+  curl -fsS "$URL_ANALYZER/server/model?kind=tabular" >"$WORK/analyzer_tabular.json"
   if cmp -s "$WORK/single_tabular.json" "$WORK/analyzer_tabular.json"; then
     converged=yes
     break

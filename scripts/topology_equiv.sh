@@ -107,7 +107,7 @@ echo "== reference run: one combined node sees everything =="
 PIDS+=($!)
 wait_healthy "$URL_SINGLE"
 submit_batches "$URL_SINGLE" 0 1
-curl -fsS "$URL_SINGLE/server/model/tabular" >"$WORK/single_tabular.json"
+curl -fsS "$URL_SINGLE/server/model?kind=tabular" >"$WORK/single_tabular.json"
 
 echo "== fleet run: board + 2 relays + 2 peered analyzers, workload split =="
 "$WORK/bin/p2bboard" -addr ":$PORT_BOARD" >"$WORK/board.log" 2>&1 &
@@ -146,8 +146,8 @@ submit_batches "$URL_R2" 1 2
 echo "== waiting for anti-entropy convergence =="
 converged=""
 for _ in $(seq 1 100); do
-  curl -fsS "$URL_A1/server/model/tabular" >"$WORK/a1_tabular.json"
-  curl -fsS "$URL_A2/server/model/tabular" >"$WORK/a2_tabular.json"
+  curl -fsS "$URL_A1/server/model?kind=tabular" >"$WORK/a1_tabular.json"
+  curl -fsS "$URL_A2/server/model?kind=tabular" >"$WORK/a2_tabular.json"
   if cmp -s "$WORK/single_tabular.json" "$WORK/a1_tabular.json" &&
      cmp -s "$WORK/single_tabular.json" "$WORK/a2_tabular.json"; then
     converged=yes
