@@ -3,10 +3,10 @@
 // retry ladder — multiplied by the fleet. The breaker cuts that short:
 // after a run of consecutive failures it opens and refuses requests
 // locally; after a cooldown it lets exactly one probe through, and only a
-// probe success closes it again. BatchingClient and agent.HTTPSource both
-// accept a breaker; sharing one instance lets the report path and the
-// model-sync path learn about an outage from each other's traffic.
-package httpapi
+// probe success closes it again. HTTPTransport and HTTPSource both accept a
+// breaker; sharing one instance lets the report path and the model-sync
+// path learn about an outage from each other's traffic.
+package agent
 
 import (
 	"errors"
@@ -16,7 +16,7 @@ import (
 
 // ErrBreakerOpen is returned (wrapped) by operations refused locally
 // because the circuit breaker is open.
-var ErrBreakerOpen = errors.New("httpapi: circuit breaker open")
+var ErrBreakerOpen = errors.New("agent: circuit breaker open")
 
 // BreakerState is the classic three-state machine.
 type BreakerState int

@@ -154,6 +154,22 @@ func runChaosFleet(t *testing.T, url string) int {
 	return submitted
 }
 
+// flushAndFetch pushes reportNode's pending privacy batch through and reads
+// the tabular model modelNode serves afterwards.
+func flushAndFetch(t *testing.T, reportNode, modelNode string) Model {
+	t.Helper()
+	tr := NewHTTPTransport(reportNode, HTTPTransportOptions{})
+	defer tr.Close()
+	if err := tr.FlushNode(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewHTTPSource(modelNode, HTTPSourceOptions{}).Model(ModelTabular)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestChaosRunConvergesBitExactly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos e2e in -short mode")
@@ -163,14 +179,7 @@ func TestChaosRunConvergesBitExactly(t *testing.T) {
 	// Referee run: same fleet, clean network, healthy disk.
 	clean := newChaosNode(t, filepath.Join(t.TempDir(), "clean"))
 	cleanSubmitted := runChaosFleet(t, clean.ts.URL)
-	cleanClient := httpapi.NewNodeClient(clean.ts.URL)
-	if err := cleanClient.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	cleanModel, err := cleanClient.FetchModel("tabular", "", true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanModel := flushAndFetch(t, clean.ts.URL, clean.ts.URL)
 	cleanShuf := clean.Shuffler().Stats()
 	clean.close(t)
 
@@ -204,14 +213,7 @@ func TestChaosRunConvergesBitExactly(t *testing.T) {
 	persist.SetFSHooks(nil)
 	// End-of-run control plane goes direct: the flush and the model read
 	// are the experiment's measurement, not its subject.
-	chaosClient := httpapi.NewNodeClient(chaos.ts.URL)
-	if err := chaosClient.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	chaosModel, err := chaosClient.FetchModel("tabular", "", true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chaosModel := flushAndFetch(t, chaos.ts.URL, chaos.ts.URL)
 	chaosShuf := chaos.Shuffler().Stats()
 	proxyStats := proxy.Stats()
 	proxyTS.Close()
@@ -354,17 +356,10 @@ func TestChaosRelayRestartLosesNothing(t *testing.T) {
 		t.Fatalf("transport dropped work across the restart: %+v", st)
 	}
 	// Push any pending sub-batch through so every report reaches the
-	// analyzer before the accounting below.
-	if err := httpapi.NewNodeClient(boot2.ts.URL).Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Zero dropped, zero double-counted: with every reward exactly 1, the
-	// analyzer's total tabular count IS the delivered-report count.
-	model, err := httpapi.NewNodeClient(analyzer.ts.URL).FetchModel("tabular", "", true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// analyzer before the accounting below. Zero dropped, zero
+	// double-counted: with every reward exactly 1, the analyzer's total
+	// tabular count IS the delivered-report count.
+	model := flushAndFetch(t, boot2.ts.URL, analyzer.ts.URL)
 	var total float64
 	for _, c := range model.Tabular.Count {
 		total += c

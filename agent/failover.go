@@ -15,13 +15,8 @@ import (
 	"sync"
 	"time"
 
-	"p2b/internal/httpapi"
 	"p2b/internal/topology"
 )
-
-// BatchStats is the batching delivery counter set of an HTTPTransport,
-// re-exported for SDK users alongside the breaker types.
-type BatchStats = httpapi.BatchStats
 
 // FailoverOptions tunes a FailoverTransport.
 type FailoverOptions struct {
@@ -65,7 +60,7 @@ type FailoverStatus struct {
 // swap it in wherever an HTTPTransport is used. Reports that fail with
 // ErrBreakerOpen trigger one failover attempt and one retry against the
 // new target; any other error passes through untouched — transient
-// failures belong to the batching client's own retry ladder.
+// failures belong to the HTTPTransport's own retry ladder.
 type FailoverTransport struct {
 	board string
 	opts  FailoverOptions
@@ -183,7 +178,7 @@ func (f *FailoverTransport) failover(gen uint64) error {
 
 // Report submits one envelope to the current target. A breaker-open
 // refusal triggers one failover and one retry; everything else (including
-// the batching client's exhausted-retry errors) passes through.
+// the target's exhausted-retry errors) passes through.
 func (f *FailoverTransport) Report(e Envelope) error {
 	tr, gen := f.current()
 	err := tr.Report(e)

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -103,22 +104,17 @@ func TestHTTPSourceCachesAndRevalidates(t *testing.T) {
 	}
 }
 
-func TestHTTPSourceJSONFallback(t *testing.T) {
-	url, _, _, _, _ := newNode(t)
-	src := NewHTTPSource(url, HTTPSourceOptions{JSON: true})
-	defer src.Close()
-	m, err := src.Model(ModelLinUCB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Linear == nil || m.Linear.D != httpDim {
-		t.Fatalf("JSON fetch returned %+v", m)
-	}
-	if err := src.Refresh(ModelLinUCB); err != nil {
-		t.Fatal(err)
-	}
-	if st := src.Stats(); st.NotModified != 1 {
-		t.Fatalf("JSON conditional refresh did not 304: %+v", st)
+// A degraded node (durable log bypassed) still serves: the preflight reads
+// it as alive, and anything but ok/degraded as unhealthy.
+func TestFetchHealthReadsDegradedAsAlive(t *testing.T) {
+	for status, alive := range map[string]bool{"ok": true, "degraded": true, "failing": false} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintf(w, `{"status":%q}`, status)
+		}))
+		if _, err := FetchHealth(ts.URL); (err == nil) != alive {
+			t.Errorf("status %q: err = %v, want alive = %v", status, err, alive)
+		}
+		ts.Close()
 	}
 }
 

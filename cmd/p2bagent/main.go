@@ -9,9 +9,7 @@
 // thousand warm starts cost one model payload plus conditional re-fetches
 // (If-None-Match against the node's model-version ETag) that come back as
 // 304s while the global model is unchanged. Reports travel over the
-// batched wire protocol by default through a shared agent.HTTPTransport;
-// -wire switches to the NDJSON batch fallback or to the
-// one-POST-per-report path for comparison.
+// batched binary wire protocol through a shared agent.HTTPTransport.
 //
 // On startup the command preflights the node: /healthz must answer ok, and
 // the -d/-arms/-k flags must match the node's model shapes — a mismatch
@@ -40,35 +38,43 @@ import (
 	"p2b/internal/topology"
 )
 
-func main() {
-	var (
-		node     = flag.String("node", "http://localhost:8080", "base URL of the p2bnode (ignored with -registry)")
-		board    = flag.String("registry", "", "bulletin-board URL to discover a report target from instead of -node (see cmd/p2bboard)")
-		users    = flag.Int("users", 1000, "number of simulated devices")
-		t        = flag.Int("T", 10, "local interactions per device")
-		p        = flag.Float64("p", 0.5, "participation probability")
-		d        = flag.Int("d", 10, "context dimension (must match the node)")
-		arms     = flag.Int("arms", 20, "number of actions (must match the node)")
-		k        = flag.Int("k", 64, "encoder code-space size (must match the node)")
-		seed     = flag.Uint64("seed", 1, "root random seed")
-		every    = flag.Int("report-every", 500, "progress line frequency in users")
-		wire     = flag.String("wire", "batch", "report path: batch (binary frames), ndjson, or single (one POST per report)")
-		maxBatch = flag.Int("max-batch", 256, "reports per batch POST (batch/ndjson wire)")
-		maxAge   = flag.Duration("max-age", 250*time.Millisecond, "max report age before a partial batch ships")
-		inflight = flag.Int("inflight", 4, "concurrently outstanding batch POSTs (1 = deterministic delivery order, what chaos bit-exactness runs use)")
-		retries  = flag.Int("retries", 3, "per-batch retry budget for transient failures (429/503/408/5xx, resets)")
-		retryAt  = flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff delay (doubles per attempt, jittered)")
-		refresh  = flag.Duration("model-refresh", 2*time.Second, "background model refresh interval (0 disables; unchanged models cost a 304)")
-		jsonWire = flag.Bool("model-json", false, "fetch models as JSON instead of the binary encoding")
-		metAddr  = flag.String("metrics-addr", "", "serve the fleet's client-side telemetry as Prometheus text exposition on this address (e.g. :9090; empty = off)")
-	)
-	flag.Parse()
+// options is the parsed command line. OPERATIONS.md documents the same flag
+// set; a test holds the two together.
+type options struct {
+	node, board, metricsAddr    string
+	users, t, d, arms, k, every int
+	p                           float64
+	seed                        uint64
+	transport                   agent.HTTPTransportOptions
+	source                      agent.HTTPSourceOptions
+}
 
-	wireMode, err := agent.ParseWireMode(*wire)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p2bagent: %v\n", err)
-		os.Exit(2)
-	}
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.node, "node", "http://localhost:8080", "base URL of the p2bnode (ignored with -registry)")
+	fs.StringVar(&o.board, "registry", "", "bulletin-board URL to discover a report target and a model server from instead of -node (see cmd/p2bboard)")
+	fs.IntVar(&o.users, "users", 1000, "number of simulated devices")
+	fs.IntVar(&o.t, "T", 10, "local interactions per device")
+	fs.Float64Var(&o.p, "p", 0.5, "participation probability")
+	fs.IntVar(&o.d, "d", 10, "context dimension (must match the node; preflighted)")
+	fs.IntVar(&o.arms, "arms", 20, "number of actions (must match the node; preflighted)")
+	fs.IntVar(&o.k, "k", 64, "encoder code-space size (must match the node; preflighted)")
+	fs.Uint64Var(&o.seed, "seed", 1, "root random seed (also the discovery pick seed)")
+	fs.IntVar(&o.every, "report-every", 500, "progress line frequency in users")
+	fs.IntVar(&o.transport.MaxBatch, "max-batch", 256, "reports per batch POST")
+	fs.DurationVar(&o.transport.MaxAge, "max-age", 250*time.Millisecond, "max report age before a partial batch ships")
+	fs.IntVar(&o.transport.MaxInFlight, "inflight", 4, "concurrently outstanding batch POSTs (1 = deterministic delivery order, what chaos bit-exactness runs use)")
+	fs.IntVar(&o.transport.MaxRetries, "retries", 3, "per-batch retry budget for transient failures (429/503/408/5xx, resets)")
+	fs.DurationVar(&o.transport.RetryBase, "retry-base", 50*time.Millisecond, "first retry backoff delay (doubles per attempt, jittered)")
+	fs.DurationVar(&o.source.Refresh, "model-refresh", 2*time.Second, "background model refresh interval (0 disables; unchanged models cost a 304)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve the fleet's client-side telemetry as Prometheus text exposition on this address (e.g. :9100; empty = off)")
+	return o
+}
+
+func main() {
+	o := registerFlags(flag.CommandLine)
+	flag.Parse()
+	o.transport.Seed, o.source.Seed = o.seed, o.seed // one root seed drives every jitter stream
 
 	// Fleet discovery: reports go through the SDK's FailoverTransport,
 	// which owns the board fetch, picks a live report target
@@ -78,31 +84,22 @@ func main() {
 	// to a surviving relay without restarting the fleet. Model syncs may
 	// land on a different process: a relay accepts reports but holds no
 	// model, so model traffic picks from the analyzers.
-	topts := agent.HTTPTransportOptions{
-		Wire:        wireMode,
-		MaxBatch:    *maxBatch,
-		MaxAge:      *maxAge,
-		MaxInFlight: *inflight,
-		MaxRetries:  *retries,
-		RetryBase:   *retryAt,
-		Seed:        *seed,
-	}
-	modelNode := *node
+	modelNode := o.node
 	var tr reportTransport
-	if *board != "" {
+	if o.board != "" {
 		var ft *agent.FailoverTransport
 		err := withRetries(10, func() error {
-			doc, err := topology.FetchDocument(*board)
+			doc, err := topology.FetchDocument(o.board)
 			if err != nil {
 				return err
 			}
-			models, err := topology.Pick(doc.Analyzers(), *seed)
+			models, err := topology.Pick(doc.Analyzers(), o.seed)
 			if err != nil {
 				return fmt.Errorf("no model-serving node: %w", err)
 			}
-			ft, err = agent.NewFailoverTransport(*board, agent.FailoverOptions{
-				Seed:      *seed,
-				Transport: topts,
+			ft, err = agent.NewFailoverTransport(o.board, agent.FailoverOptions{
+				Seed:      o.seed,
+				Transport: o.transport,
 				Logf:      log.Printf,
 			})
 			if err != nil {
@@ -110,22 +107,22 @@ func main() {
 			}
 			modelNode = models.URL
 			st := ft.Status()
-			*node = st.URL
+			o.node = st.URL
 			fmt.Printf("p2bagent: board %s assigned reports -> %q (%s), models -> %s %q (%s)\n",
-				*board, st.Node, st.URL, models.Role, models.Name, models.URL)
+				o.board, st.Node, st.URL, models.Role, models.Name, models.URL)
 			return nil
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "p2bagent: discovering the fleet on %s: %v\n", *board, err)
+			fmt.Fprintf(os.Stderr, "p2bagent: discovering the fleet on %s: %v\n", o.board, err)
 			os.Exit(1)
 		}
 		tr = ft
 	} else {
-		tr = agent.NewHTTPTransport(*node, topts)
+		tr = agent.NewHTTPTransport(o.node, o.transport)
 	}
 
-	root := rng.New(*seed)
-	env, err := synthetic.New(synthetic.Config{D: *d, Arms: *arms, Beta: 0.1, Sigma: 0.1}, root.Split("env"))
+	root := rng.New(o.seed)
+	env, err := synthetic.New(synthetic.Config{D: o.d, Arms: o.arms, Beta: 0.1, Sigma: 0.1}, root.Split("env"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -133,21 +130,17 @@ func main() {
 	// mirroring a real deployment where the encoder ships inside the app.
 	enc, err := encoding.FitKMeans(
 		env.SampleContexts(4096, root.Split("encoder-sample")),
-		*k, 50, 1e-6, root.Split("encoder-fit"))
+		o.k, 50, 1e-6, root.Split("encoder-fit"))
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	src := agent.NewHTTPSource(modelNode, agent.HTTPSourceOptions{
-		Refresh: *refresh,
-		JSON:    *jsonWire,
-		Seed:    *seed,
-	})
+	src := agent.NewHTTPSource(modelNode, o.source)
 	defer src.Close()
 	// Preflight and the first model fetch ride plain GETs with no retry
 	// layer of their own; behind a chaos proxy (or against a node still
 	// coming up) a transient failure here should not kill the fleet.
-	if err := withRetries(10, func() error { return preflight(*node, *d, *arms, *k) }); err != nil {
+	if err := withRetries(10, func() error { return preflight(o.node, o.d, o.arms, o.k) }); err != nil {
 		fmt.Fprintf(os.Stderr, "p2bagent: preflight failed: %v\n", err)
 		os.Exit(1)
 	}
@@ -156,23 +149,23 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *metAddr != "" {
-		go serveMetrics(*metAddr, tr, src)
+	if o.metricsAddr != "" {
+		go serveMetrics(o.metricsAddr, tr, src)
 	}
 
-	fmt.Printf("p2bagent: %d devices -> %s over %s wire (epsilon per disclosure %.4f)\n",
-		*users, *node, wireMode, privacy.Epsilon(*p))
+	fmt.Printf("p2bagent: %d devices -> %s (epsilon per disclosure %.4f)\n",
+		o.users, o.node, privacy.Epsilon(o.p))
 
 	var totalReward float64
 	var interactions, submitted int64
 	start := time.Now()
-	for u := 0; u < *users; u++ {
+	for u := 0; u < o.users; u++ {
 		ur := root.SplitIndex("user", u)
 		device := fmt.Sprintf("device-%08d", u)
 		ag, err := agent.New(agent.Config{
 			Policy:    agent.PolicyTabular,
-			P:         *p,
-			Arms:      *arms,
+			P:         o.p,
+			Arms:      o.arms,
 			Encoder:   enc,
 			Source:    src,
 			Transport: tr,
@@ -186,7 +179,7 @@ func main() {
 			os.Exit(1)
 		}
 		session := env.User(u, ur.Split("session"))
-		for step := 0; step < *t; step++ {
+		for step := 0; step < o.t; step++ {
 			x := session.Context(step)
 			a := ag.Select(x)
 			reward := session.Reward(step, a)
@@ -200,7 +193,7 @@ func main() {
 			os.Exit(1)
 		}
 		submitted += int64(n)
-		if *every > 0 && (u+1)%*every == 0 {
+		if o.every > 0 && (u+1)%o.every == 0 {
 			fmt.Printf("  %6d devices done, mean reward %.5f, %d tuples submitted\n",
 				u+1, totalReward/float64(interactions), submitted)
 		}
@@ -215,8 +208,8 @@ func main() {
 	}
 	st := src.Stats()
 	fmt.Printf("done in %v: %d devices, mean reward %.5f, %d tuples submitted (rate %.3f)\n",
-		time.Since(start).Round(time.Millisecond), *users,
-		totalReward/float64(interactions), submitted, float64(submitted)/float64(*users))
+		time.Since(start).Round(time.Millisecond), o.users,
+		totalReward/float64(interactions), submitted, float64(submitted)/float64(o.users))
 	fmt.Printf("model sync: %d fetches, %d not-modified (304), %d refreshed\n",
 		st.Fetches, st.NotModified, st.Refreshed)
 	bst := tr.Stats()

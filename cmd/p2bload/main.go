@@ -23,7 +23,7 @@ import (
 	"os"
 	"time"
 
-	"p2b/internal/httpapi"
+	"p2b/agent"
 	"p2b/internal/loadgen"
 )
 
@@ -52,7 +52,7 @@ func main() {
 
 	// Preflight: fail fast with a useful message if the node is absent or
 	// misconfigured, instead of counting a whole run of refused connections.
-	if _, err := httpapi.NewNodeClient(*node).FetchHealth(); err != nil {
+	if _, err := agent.FetchHealth(*node); err != nil {
 		fmt.Fprintf(os.Stderr, "p2bload: preflight failed: %v\n", err)
 		os.Exit(1)
 	}

@@ -2,9 +2,9 @@
 // service: the trusted shuffler and the analyzer server, wired together in
 // one process and exposed over HTTP.
 //
-// Agents POST encoded reports to the shuffler surface — one at a time or,
-// at scale, as batch streams — and GET model snapshots from the server
-// surface:
+// The agent SDK POSTs encoded reports to the shuffler surface as binary
+// batch streams and GETs model snapshots from the server surface; the
+// per-envelope and NDJSON forms are there for curl and the gate scripts:
 //
 //	POST /shuffler/report   {"meta":{...},"tuple":{"code":5,"action":1,"reward":1}}
 //	POST /shuffler/reports  batch stream: length-prefixed binary frames

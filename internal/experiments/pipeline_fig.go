@@ -7,7 +7,10 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"reflect"
@@ -15,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"p2b/agent"
 	"p2b/internal/httpapi"
 	"p2b/internal/rng"
 	"p2b/internal/server"
@@ -63,6 +67,25 @@ func pipelineHTTPClient(workers int) *http.Client {
 	return &http.Client{Transport: tr, Timeout: 30 * time.Second}
 }
 
+// postEnvelope is the per-envelope baseline the batched SDK wire is measured
+// against: one JSON POST to the node's curl-able /shuffler/report route.
+func postEnvelope(hc *http.Client, nodeURL string, e transport.Envelope) error {
+	blob, err := json.Marshal(e)
+	if err != nil {
+		return err
+	}
+	resp, err := hc.Post(nodeURL+"/shuffler/report", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("post %s/shuffler/report: status %d: %s", nodeURL, resp.StatusCode, msg)
+	}
+	return nil
+}
+
 // pipelineTuple deterministically generates the i-th report of worker w.
 func pipelineTuple(r *rng.Rand, k, arms int) transport.Tuple {
 	return transport.Tuple{Code: r.IntN(k), Action: r.IntN(arms), Reward: r.Float64()}
@@ -94,9 +117,8 @@ func HTTPPipeline(opts Options) (*Result, error) {
 		return nil, err
 	}
 	singleRPS, err := runPipelinePhase(workers, singleN, func(w int) (func(transport.Envelope) error, func() error) {
-		client := httpapi.NewNodeClient(nodeA.url)
-		client.HTTP = httpClient
-		return client.Report, func() error { return nil }
+		return func(e transport.Envelope) error { return postEnvelope(httpClient, nodeA.url, e) },
+			func() error { return nil }
 	}, opts, k, arms)
 	nodeA.close()
 	if err != nil {
@@ -109,14 +131,13 @@ func HTTPPipeline(opts Options) (*Result, error) {
 		return nil, err
 	}
 	batchedRPS, err := runPipelinePhase(workers, batchedN, func(w int) (func(transport.Envelope) error, func() error) {
-		client := httpapi.NewNodeClient(nodeB.url)
-		client.HTTP = httpClient
-		bc := httpapi.NewBatchingClient(client, httpapi.BatchingConfig{
-			MaxBatch: 256,
-			MaxAge:   50 * time.Millisecond,
-			Seed:     opts.Seed + uint64(w) + 1,
+		tr := agent.NewHTTPTransport(nodeB.url, agent.HTTPTransportOptions{
+			MaxBatch:   256,
+			MaxAge:     50 * time.Millisecond,
+			Seed:       opts.Seed + uint64(w) + 1,
+			HTTPClient: httpClient,
 		})
-		return bc.Report, bc.Close
+		return tr.Report, tr.Close
 	}, opts, k, arms)
 	ingestedB := nodeB.srv.Stats().TuplesIngested
 	nodeB.close()
@@ -218,13 +239,14 @@ func pipelineRoutesAgree(opts Options, k, arms, threshold int) (bool, error) {
 		return false, err
 	}
 	defer nodeA.close()
-	clientA := httpapi.NewNodeClient(nodeA.url)
 	for i := range envs {
-		if err := clientA.Report(envs[i]); err != nil {
+		if err := postEnvelope(http.DefaultClient, nodeA.url, envs[i]); err != nil {
 			return false, fmt.Errorf("http-pipeline: exactness single route: %w", err)
 		}
 	}
-	if err := clientA.Flush(); err != nil {
+	flushA := agent.NewHTTPTransport(nodeA.url, agent.HTTPTransportOptions{})
+	defer flushA.Close()
+	if err := flushA.FlushNode(); err != nil {
 		return false, err
 	}
 
@@ -233,15 +255,18 @@ func pipelineRoutesAgree(opts Options, k, arms, threshold int) (bool, error) {
 		return false, err
 	}
 	defer nodeB.close()
-	clientB := httpapi.NewNodeClient(nodeB.url)
-	// Ship in several batch POSTs to exercise chunked submission too.
-	for at := 0; at < len(envs); at += 100 {
-		end := min(at+100, len(envs))
-		if _, err := clientB.ReportBatch(envs[at:end]); err != nil {
+	// Ship in several batch POSTs to exercise chunked submission too; one
+	// sender keeps them in submission order.
+	tr := agent.NewHTTPTransport(nodeB.url, agent.HTTPTransportOptions{MaxBatch: 100, MaxAge: time.Hour, MaxInFlight: 1})
+	for i := range envs {
+		if err := tr.Report(envs[i]); err != nil {
 			return false, fmt.Errorf("http-pipeline: exactness batch route: %w", err)
 		}
 	}
-	if err := clientB.Flush(); err != nil {
+	if err := tr.Close(); err != nil {
+		return false, fmt.Errorf("http-pipeline: exactness batch route: %w", err)
+	}
+	if err := tr.FlushNode(); err != nil {
 		return false, err
 	}
 

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -9,9 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"p2b/internal/rng"
 	"p2b/internal/server"
@@ -26,6 +25,18 @@ func postBatch(t *testing.T, url, contentType string, body []byte) *http.Respons
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// reportBatch posts envs as one binary batch and decodes the ack.
+func reportBatch(t *testing.T, c *testClient, envs []transport.Envelope) BatchAck {
+	t.Helper()
+	resp := postBatch(t, c.ShufflerURL, transport.ContentTypeBinary, encodeBatch(envs))
+	defer resp.Body.Close()
+	var ack BatchAck
+	if err := json.NewDecoder(resp.Body).Decode(&ack); resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("batch POST: status %d, ack decode: %v", resp.StatusCode, err)
+	}
+	return ack
 }
 
 func encodeBatch(envs []transport.Envelope) []byte {
@@ -46,10 +57,7 @@ func TestBatchRouteBinary(t *testing.T) {
 			Tuple: transport.Tuple{Code: 2, Action: 1, Reward: 1},
 		}
 	}
-	ack, err := client.ReportBatch(envs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ack := reportBatch(t, client, envs)
 	if ack.Accepted != 10 || ack.Dropped != 0 {
 		t.Fatalf("ack %+v", ack)
 	}
@@ -159,10 +167,7 @@ func TestBatchRouteDropsInvalidTuples(t *testing.T) {
 		{Tuple: transport.Tuple{Code: 1, Action: -3, Reward: 0.5}},
 		{Tuple: transport.Tuple{Code: 1, Action: 1, Reward: 0.5}}, // the one good citizen
 	}
-	ack, err := client.ReportBatch(envs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ack := reportBatch(t, client, envs)
 	if ack.Accepted != 1 || ack.Dropped != 5 {
 		t.Fatalf("ack %+v, want 1 accepted / 5 dropped", ack)
 	}
@@ -208,128 +213,6 @@ func TestOversizedBodiesGet413(t *testing.T) {
 	}
 }
 
-func TestBatchingClientSizeTrigger(t *testing.T) {
-	client, srv, _, cleanup := newStack(t, 0)
-	defer cleanup()
-	bc := NewBatchingClient(client, BatchingConfig{MaxBatch: 4, MaxAge: time.Hour})
-	for i := 0; i < 8; i++ {
-		if err := bc.Report(transport.Envelope{Tuple: transport.Tuple{Code: 1, Action: 1, Reward: 1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := bc.Stats()
-	if st.Reported != 8 || st.Batches != 2 || st.DroppedReports != 0 {
-		t.Fatalf("stats %+v", st)
-	}
-	if sst := srv.Stats(); sst.TuplesIngested != 8 {
-		t.Fatalf("server ingested %d, want 8", sst.TuplesIngested)
-	}
-}
-
-func TestBatchingClientAgeTrigger(t *testing.T) {
-	client, _, shuf, cleanup := newStack(t, 0)
-	defer cleanup()
-	bc := NewBatchingClient(client, BatchingConfig{MaxBatch: 1 << 20, MaxAge: 20 * time.Millisecond})
-	defer bc.Close()
-	if err := bc.Report(transport.Envelope{Tuple: transport.Tuple{Code: 1, Action: 1, Reward: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for shuf.Stats().Received == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("age trigger never flushed the batch")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestBatchingClientNDJSONMode(t *testing.T) {
-	client, srv, _, cleanup := newStack(t, 0)
-	defer cleanup()
-	bc := NewBatchingClient(client, BatchingConfig{MaxBatch: 3, MaxAge: time.Hour, NDJSON: true})
-	for i := 0; i < 6; i++ {
-		if err := bc.Report(transport.Envelope{
-			Meta:  transport.Metadata{DeviceID: "dev", SentAt: 1},
-			Tuple: transport.Tuple{Code: 2, Action: 0, Reward: 0.5},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Stats(); st.TuplesIngested != 6 {
-		t.Fatalf("server ingested %d, want 6", st.TuplesIngested)
-	}
-}
-
-func TestBatchingClientRetriesTransientFailures(t *testing.T) {
-	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1})
-	shuf := shuffler.New(shuffler.Config{BatchSize: 4, Threshold: 0}, srv, rng.New(2))
-	inner := NewShufflerHandler(shuf)
-	var failures atomic.Int32
-	failures.Store(2)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/reports" && failures.Add(-1) >= 0 {
-			http.Error(w, "transient", http.StatusServiceUnavailable)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-	client := NewClient(ts.URL, "")
-	bc := NewBatchingClient(client, BatchingConfig{
-		MaxBatch: 4, MaxAge: time.Hour, MaxRetries: 5, RetryBase: time.Millisecond,
-	})
-	for i := 0; i < 4; i++ {
-		if err := bc.Report(transport.Envelope{Tuple: transport.Tuple{Code: 1, Action: 1, Reward: 1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bc.Close(); err != nil {
-		t.Fatalf("close after transient failures: %v", err)
-	}
-	st := bc.Stats()
-	if st.Batches != 1 || st.Retries < 2 || st.DroppedBatches != 0 {
-		t.Fatalf("stats %+v", st)
-	}
-	if sst := shuf.Stats(); sst.Received != 4 {
-		t.Fatalf("shuffler received %d, want 4", sst.Received)
-	}
-}
-
-func TestBatchingClientPermanentFailureIsSticky(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "nope", http.StatusBadRequest)
-	}))
-	defer ts.Close()
-	client := NewClient(ts.URL, "")
-	bc := NewBatchingClient(client, BatchingConfig{MaxBatch: 2, MaxAge: time.Hour, RetryBase: time.Millisecond})
-	for i := 0; i < 2; i++ {
-		_ = bc.Report(transport.Envelope{Tuple: transport.Tuple{Code: 1, Action: 1, Reward: 1}})
-	}
-	err := bc.Close()
-	if err == nil || !strings.Contains(err.Error(), "permanent status 400") {
-		t.Fatalf("want sticky permanent error, got %v", err)
-	}
-	st := bc.Stats()
-	if st.DroppedBatches != 1 || st.DroppedReports != 2 || st.Retries != 0 {
-		t.Fatalf("stats %+v", st)
-	}
-	if err := bc.Report(transport.Envelope{}); err != ErrClientClosed {
-		t.Fatalf("report after close: %v", err)
-	}
-}
-
 func TestBatchRouteMatchesPerEnvelopeRouteBitExactly(t *testing.T) {
 	// The acceptance bar of the wire protocol: the same tuple stream
 	// submitted per-envelope and batched must yield bit-identical server
@@ -348,13 +231,16 @@ func TestBatchRouteMatchesPerEnvelopeRouteBitExactly(t *testing.T) {
 
 	srvA, tsA := newNode()
 	defer tsA.Close()
-	clientA := NewNodeClient(tsA.URL)
+	envs := make([]transport.Envelope, n)
 	for i, tup := range tuples {
-		err := clientA.Report(transport.Envelope{
+		envs[i] = transport.Envelope{
 			Meta:  transport.Metadata{DeviceID: fmt.Sprintf("SECRET-DEVICE-%d", i), SentAt: 7},
 			Tuple: tup,
-		})
-		if err != nil {
+		}
+	}
+	clientA := newTestClient(tsA.URL)
+	for _, e := range envs {
+		if err := clientA.Report(e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,21 +250,11 @@ func TestBatchRouteMatchesPerEnvelopeRouteBitExactly(t *testing.T) {
 
 	srvB, tsB := newNode()
 	defer tsB.Close()
-	clientB := NewNodeClient(tsB.URL)
-	// MaxInFlight 1 with serial Reports preserves submission order, which
-	// is what makes the comparison bit-exact rather than merely additive.
-	bc := NewBatchingClient(clientB, BatchingConfig{MaxBatch: 32, MaxAge: time.Hour, MaxInFlight: 1})
-	for i, tup := range tuples {
-		err := bc.Report(transport.Envelope{
-			Meta:  transport.Metadata{DeviceID: fmt.Sprintf("SECRET-DEVICE-%d", i), SentAt: 7},
-			Tuple: tup,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bc.Close(); err != nil {
-		t.Fatal(err)
+	clientB := newTestClient(tsB.URL)
+	// Serial POSTs of 32 preserve submission order, which is what makes
+	// the comparison bit-exact rather than merely additive.
+	for at := 0; at < n; at += 32 {
+		reportBatch(t, clientB, envs[at:min(at+32, n)])
 	}
 	if err := clientB.Flush(); err != nil {
 		t.Fatal(err)
@@ -447,47 +323,5 @@ func TestReportRouteRejectsInvalidTuple(t *testing.T) {
 	}
 	if st := shuf.Stats(); st.Received != 0 {
 		t.Fatalf("invalid tuple reached the shuffler: %+v", st)
-	}
-}
-
-func TestBatchingClientRejectsOversizedEnvelope(t *testing.T) {
-	client, srv, _, cleanup := newStack(t, 0)
-	defer cleanup()
-	bc := NewBatchingClient(client, BatchingConfig{MaxBatch: 2, MaxAge: time.Hour})
-	huge := transport.Envelope{
-		Meta:  transport.Metadata{DeviceID: strings.Repeat("x", transport.MaxFrameBytes)},
-		Tuple: transport.Tuple{Code: 1, Action: 1, Reward: 1},
-	}
-	if err := bc.Report(huge); err == nil || !strings.Contains(err.Error(), "transport limit") {
-		t.Fatalf("oversized envelope accepted: %v", err)
-	}
-	// The rejection must not poison the open batch: valid reports flow on.
-	for i := 0; i < 2; i++ {
-		if err := bc.Report(transport.Envelope{Tuple: transport.Tuple{Code: 1, Action: 1, Reward: 1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Stats(); st.TuplesIngested != 2 {
-		t.Fatalf("server ingested %d, want 2", st.TuplesIngested)
-	}
-	if _, err := client.ReportBatch([]transport.Envelope{huge}); err == nil {
-		t.Fatal("ReportBatch accepted an oversized envelope")
-	}
-}
-
-func TestBatchingClientNDJSONRejectsNonFiniteReward(t *testing.T) {
-	client, _, _, cleanup := newStack(t, 0)
-	defer cleanup()
-	bc := NewBatchingClient(client, BatchingConfig{MaxBatch: 4, MaxAge: time.Hour, NDJSON: true})
-	defer bc.Close()
-	err := bc.Report(transport.Envelope{Tuple: transport.Tuple{Code: 1, Action: 1, Reward: math.NaN()}})
-	if err == nil || !strings.Contains(err.Error(), "not representable") {
-		t.Fatalf("NaN reward in NDJSON mode: %v", err)
 	}
 }

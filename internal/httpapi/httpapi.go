@@ -1,6 +1,7 @@
 // Package httpapi exposes the shuffler and server over HTTP so that P2B
-// components can run as separate processes, and provides the agent-side
-// client. The routes are:
+// components can run as separate processes. It is server-only: outbound
+// HTTP to a node lives in the SDK (package agent), which imports this
+// package for the wire types and never the other way round. The routes are:
 //
 //	shuffler:  POST /report         one transport.Envelope (JSON)
 //	           POST /reports        a batch stream (binary frames or NDJSON)
@@ -37,7 +38,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -297,19 +297,6 @@ func NewNodeHandlerOpts(shuf *shuffler.Shuffler, srv *server.Server, opts NodeOp
 	return mux
 }
 
-// NewNodeClient returns a client whose shuffler and server URLs point at a
-// single node handler, and which can probe that node's /healthz.
-func NewNodeClient(nodeURL string) *Client {
-	c := NewClient(nodeURL+"/shuffler", nodeURL+"/server")
-	c.NodeURL = nodeURL
-	return c
-}
-
-// NewShufflerHandler returns the HTTP surface of a shuffler.
-func NewShufflerHandler(s *shuffler.Shuffler) http.Handler {
-	return newShufflerHandlerOpts(s, shufflerIngestor{s}, nil, nil, nil)
-}
-
 // newShufflerHandlerOpts mounts the shuffler routes with report admission
 // going through ing (the durable path when a persist manager is wired in),
 // bounded by adm (nil = unbounded), reporting overload (nil = omitted)
@@ -405,13 +392,6 @@ func shufflerStatsPayload(s *shuffler.Shuffler, overload func() OverloadStats) S
 	return st
 }
 
-// NewServerHandler returns the HTTP surface of the analyzer server. Routes
-// are registered with method patterns, so a wrong-method request gets the
-// mux's 405 (with an Allow header) without per-handler boilerplate.
-func NewServerHandler(s *server.Server) http.Handler {
-	return newServerHandler(s).routes()
-}
-
 // ModelReadStats counts the encoded-payload cache traffic of the model
 // routes. Together with the server's SnapshotHits/SnapshotBuilds it tells
 // a fleet operator whether the read path is healthy: steady state is
@@ -480,6 +460,9 @@ func (h *serverHandler) ReadStats() ModelReadStats {
 	}
 }
 
+// routes mounts the analyzer server's HTTP surface. Routes are registered
+// with method patterns, so a wrong-method request gets the mux's 405 (with
+// an Allow header) without per-handler boilerplate.
 func (h *serverHandler) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /model", h.nm.wrap("model", h.serveModel))
@@ -907,123 +890,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// Client is the agent-side HTTP client. ShufflerURL and ServerURL are the
-// base URLs of the two services; either may be empty if unused. NodeURL is
-// the node base URL (set by NewNodeClient) for node-level routes like
-// /healthz.
-type Client struct {
-	ShufflerURL string
-	ServerURL   string
-	NodeURL     string
-	HTTP        *http.Client
-}
-
-// NewClient returns a client with a conservative default timeout.
-func NewClient(shufflerURL, serverURL string) *Client {
-	return &Client{
-		ShufflerURL: shufflerURL,
-		ServerURL:   serverURL,
-		HTTP:        &http.Client{Timeout: 10 * time.Second},
-	}
-}
-
-// Report submits one envelope to the shuffler.
-func (c *Client) Report(e transport.Envelope) error {
-	return c.post(c.ShufflerURL+"/report", e, http.StatusAccepted)
-}
-
-// Flush asks the shuffler to process its pending batch immediately.
-func (c *Client) Flush() error {
-	return c.post(c.ShufflerURL+"/flush", nil, http.StatusNoContent)
-}
-
-// SendRaw submits one raw observation to the server (baseline path).
-func (c *Client) SendRaw(t transport.RawTuple) error {
-	return c.post(c.ServerURL+"/raw", t, http.StatusAccepted)
-}
-
-// FetchedModel is the result of one conditional model fetch. When the
-// server answered 304 Not Modified, NotModified is true and both states are
-// nil; otherwise exactly one of Tabular and Linear is set.
-type FetchedModel struct {
-	NotModified bool
-	ETag        string
-	Version     uint64
-	Tabular     *bandit.TabularState
-	Linear      *bandit.LinUCBState
-}
-
-// maxModelBodyBytes caps a model response body: 256 MiB covers any
-// plausible K*Arms tabular model with a wide margin.
-const maxModelBodyBytes = 256 << 20
-
-// FetchModel performs one conditional GET of /server/model for the given
-// kind (ModelKindTabular, ModelKindLinUCB or ModelKindCentroid). A non-empty
-// ifNoneMatch is sent as If-None-Match, so an unchanged model comes back as
-// a cheap 304. binary selects the P2BM wire encoding over JSON.
-func (c *Client) FetchModel(kind, ifNoneMatch string, binary bool) (*FetchedModel, error) {
-	url := c.ServerURL + "/model?kind=" + kind
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: building model request: %w", err)
-	}
-	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
-	}
-	if binary {
-		req.Header.Set("Accept", transport.ContentTypeModel)
-	} else {
-		req.Header.Set("Accept", "application/json")
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: get %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	fm := &FetchedModel{ETag: resp.Header.Get("ETag")}
-	if v := resp.Header.Get(ModelVersionHeader); v != "" {
-		// The header is informative; a missing or garbled one only costs the
-		// caller version visibility, not the model.
-		fm.Version, _ = strconv.ParseUint(v, 10, 64)
-	}
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		fm.NotModified = true
-		return fm, nil
-	case http.StatusOK:
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("httpapi: get %s: status %d: %s", url, resp.StatusCode, msg)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxModelBodyBytes))
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: reading model body: %w", err)
-	}
-	ct, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if ct == transport.ContentTypeModel {
-		version, tab, lin, err := transport.DecodeModel(body)
-		if err != nil {
-			return nil, fmt.Errorf("httpapi: decoding binary model: %w", err)
-		}
-		fm.Version = version
-		fm.Tabular, fm.Linear = tab, lin
-		return fm, nil
-	}
-	// JSON fallback: the two state shapes are distinguishable by kind.
-	switch kind {
-	case ModelKindTabular:
-		fm.Tabular = new(bandit.TabularState)
-		err = json.Unmarshal(body, fm.Tabular)
-	default:
-		fm.Linear = new(bandit.LinUCBState)
-		err = json.Unmarshal(body, fm.Linear)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: decoding JSON model: %w", err)
-	}
-	return fm, nil
-}
-
 // ModelShapes advertises the node's model dimensions on /healthz, so a
 // fleet can validate its configuration before simulating a single device.
 type ModelShapes struct {
@@ -1042,7 +908,7 @@ type SnapshotCacheStats struct {
 }
 
 // Health is the /healthz document: what the node handler serves and what
-// FetchHealth decodes. Which sections appear is which components the node
+// agent.FetchHealth decodes. Which sections appear is which components the node
 // runs — Snapshots, ModelReads and (with a peer surface) Peers on a node
 // with a server, Downstream and Forward on a relay, Overload on a bounded
 // or degradable node, Board with a bulletin board, Persist with a data
@@ -1060,62 +926,4 @@ type Health struct {
 	Peers      *PeerHealth               `json:"peers,omitempty"`
 	Board      *topology.HeartbeatStatus `json:"board,omitempty"`
 	Persist    any                       `json:"persist,omitempty"`
-}
-
-// FetchHealth probes the node's /healthz route (the client must have been
-// built with NewNodeClient). It fails on connection errors, non-200
-// statuses and unhealthy payloads, making it the preflight check a fleet
-// runs before simulating devices. A "degraded" status (the node serves
-// but its durable log is bypassed) is returned as healthy — callers that
-// demand durability must inspect Overload.Degraded.
-func (c *Client) FetchHealth() (*Health, error) {
-	if c.NodeURL == "" {
-		return nil, errors.New("httpapi: client has no node URL (use NewNodeClient)")
-	}
-	url := c.NodeURL + "/healthz"
-	resp, err := c.httpClient().Get(url)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: get %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("httpapi: get %s: status %d: %s", url, resp.StatusCode, msg)
-	}
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nil, fmt.Errorf("httpapi: decode %s: %w", url, err)
-	}
-	if h.Status != "ok" && h.Status != "degraded" {
-		return nil, fmt.Errorf("httpapi: node unhealthy: status %q", h.Status)
-	}
-	return &h, nil
-}
-
-func (c *Client) post(url string, v any, wantStatus int) error {
-	var body io.Reader
-	if v != nil {
-		blob, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("httpapi: marshal: %w", err)
-		}
-		body = bytes.NewReader(blob)
-	}
-	resp, err := c.httpClient().Post(url, "application/json", body)
-	if err != nil {
-		return fmt.Errorf("httpapi: post %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != wantStatus {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("httpapi: post %s: status %d: %s", url, resp.StatusCode, msg)
-	}
-	return nil
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }

@@ -1,6 +1,10 @@
 package httpapi
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,17 +17,83 @@ import (
 	"p2b/internal/transport"
 )
 
-func newStack(t *testing.T, threshold int) (*Client, *server.Server, *shuffler.Shuffler, func()) {
+// testClient is this package's stand-in for a device. The SDK cannot be
+// imported here (agent imports httpapi), so the route tests speak plain
+// net/http, the way curl does.
+type testClient struct{ ShufflerURL, ServerURL string }
+
+func newTestClient(nodeURL string) *testClient {
+	return &testClient{ShufflerURL: nodeURL + "/shuffler", ServerURL: nodeURL + "/server"}
+}
+
+func (c *testClient) post(url string, v any, want int) error {
+	var body io.Reader
+	if v != nil {
+		blob, _ := json.Marshal(v) // plain structs of finite numbers and strings
+		body = bytes.NewReader(blob)
+	}
+	resp, err := http.Post(url, "application/json", body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != want {
+		msg, _ := io.ReadAll(resp.Body)
+		return fmt.Errorf("post %s: status %d: %s", url, resp.StatusCode, msg)
+	}
+	return nil
+}
+
+func (c *testClient) Report(e transport.Envelope) error {
+	return c.post(c.ShufflerURL+"/report", e, http.StatusAccepted)
+}
+func (c *testClient) Flush() error { return c.post(c.ShufflerURL+"/flush", nil, http.StatusNoContent) }
+func (c *testClient) SendRaw(t transport.RawTuple) error {
+	return c.post(c.ServerURL+"/raw", t, http.StatusAccepted)
+}
+
+// fetchedModel is one decoded GET /server/model response.
+type fetchedModel struct {
+	NotModified bool
+	ETag        string
+	Version     uint64
+	Tabular     *bandit.TabularState
+	Linear      *bandit.LinUCBState
+}
+
+// FetchModel issues one conditional GET of the binary model representation.
+func (c *testClient) FetchModel(kind, ifNoneMatch string) (*fetchedModel, error) {
+	req, err := http.NewRequest(http.MethodGet, c.ServerURL+"/model?kind="+kind, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Accept", transport.ContentTypeModel)
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	fm := &fetchedModel{ETag: resp.Header.Get("ETag"), NotModified: resp.StatusCode == http.StatusNotModified}
+	switch {
+	case fm.NotModified:
+	case resp.StatusCode != http.StatusOK:
+		err = fmt.Errorf("get %s: status %d: %s", req.URL, resp.StatusCode, body)
+	default:
+		fm.Version, fm.Tabular, fm.Linear, err = transport.DecodeModel(body)
+	}
+	return fm, err
+}
+
+func newStack(t *testing.T, threshold int) (*testClient, *server.Server, *shuffler.Shuffler, func()) {
 	t.Helper()
 	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1})
 	shuf := shuffler.New(shuffler.Config{BatchSize: 4, Threshold: threshold}, srv, rng.New(2))
-	shufTS := httptest.NewServer(NewShufflerHandler(shuf))
-	srvTS := httptest.NewServer(NewServerHandler(srv))
-	client := NewClient(shufTS.URL, srvTS.URL)
-	return client, srv, shuf, func() {
-		shufTS.Close()
-		srvTS.Close()
-	}
+	ts := httptest.NewServer(NewNodeHandler(shuf, srv))
+	return newTestClient(ts.URL), srv, shuf, ts.Close
 }
 
 func TestReportFlowsThroughToServer(t *testing.T) {
@@ -79,11 +149,10 @@ func TestRemoteAddrIsStampedThenStripped(t *testing.T) {
 	}
 }
 
-// fetchTabular reads the tabular model as JSON, the way a debugging curl of
-// /server/model?kind=tabular does.
-func fetchTabular(t *testing.T, c *Client) *bandit.TabularState {
+// fetchTabular reads the node's current tabular model.
+func fetchTabular(t *testing.T, c *testClient) *bandit.TabularState {
 	t.Helper()
-	fm, err := c.FetchModel(ModelKindTabular, "", false)
+	fm, err := c.FetchModel(ModelKindTabular, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +175,7 @@ func TestFetchTabularModel(t *testing.T) {
 func TestFetchLinUCBModel(t *testing.T) {
 	client, _, _, cleanup := newStack(t, 0)
 	defer cleanup()
-	fm, err := client.FetchModel(ModelKindLinUCB, "", false)
+	fm, err := client.FetchModel(ModelKindLinUCB, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +210,9 @@ func TestSendRawRejectsBadTuple(t *testing.T) {
 }
 
 func TestBadJSONRejected(t *testing.T) {
-	_, _, shuf, cleanup := newStack(t, 0)
+	client, _, _, cleanup := newStack(t, 0)
 	defer cleanup()
-	ts := httptest.NewServer(NewShufflerHandler(shuf))
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/report", "application/json", strings.NewReader("{not json"))
+	resp, err := http.Post(client.ShufflerURL+"/report", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +223,9 @@ func TestBadJSONRejected(t *testing.T) {
 }
 
 func TestUnknownFieldsRejected(t *testing.T) {
-	_, _, shuf, cleanup := newStack(t, 0)
+	client, _, _, cleanup := newStack(t, 0)
 	defer cleanup()
-	ts := httptest.NewServer(NewShufflerHandler(shuf))
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/report", "application/json",
+	resp, err := http.Post(client.ShufflerURL+"/report", "application/json",
 		strings.NewReader(`{"tuple":{"code":1},"bogus":true}`))
 	if err != nil {
 		t.Fatal(err)
@@ -172,12 +237,9 @@ func TestUnknownFieldsRejected(t *testing.T) {
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	client, _, shuf, cleanup := newStack(t, 0)
+	client, _, _, cleanup := newStack(t, 0)
 	defer cleanup()
-	_ = client
-	shufTS := httptest.NewServer(NewShufflerHandler(shuf))
-	defer shufTS.Close()
-	resp, err := http.Get(shufTS.URL + "/report")
+	resp, err := http.Get(client.ShufflerURL + "/report")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +250,9 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 func TestStatsEndpoints(t *testing.T) {
-	client, srv, shuf, cleanup := newStack(t, 0)
+	client, _, _, cleanup := newStack(t, 0)
 	defer cleanup()
-	shufTS := httptest.NewServer(NewShufflerHandler(shuf))
-	defer shufTS.Close()
-	srvTS := httptest.NewServer(NewServerHandler(srv))
-	defer srvTS.Close()
-	_ = client
-	for _, url := range []string{shufTS.URL + "/stats", srvTS.URL + "/stats"} {
+	for _, url := range []string{client.ShufflerURL + "/stats", client.ServerURL + "/stats"} {
 		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatal(err)
@@ -227,7 +284,7 @@ func TestNodeHandlerMountsBothSurfaces(t *testing.T) {
 	}
 
 	// The node client routes to the prefixed surfaces.
-	client := NewNodeClient(ts.URL)
+	client := newTestClient(ts.URL)
 	for i := 0; i < 4; i++ {
 		err := client.Report(transport.Envelope{Tuple: transport.Tuple{Code: 1, Action: 2, Reward: 1}})
 		if err != nil {
@@ -246,7 +303,7 @@ func TestNodeFleetRound(t *testing.T) {
 	shuf := shuffler.New(shuffler.Config{BatchSize: 16, Threshold: 2}, srv, rng.New(3))
 	ts := httptest.NewServer(NewNodeHandler(shuf, srv))
 	defer ts.Close()
-	client := NewNodeClient(ts.URL)
+	client := newTestClient(ts.URL)
 
 	for u := 0; u < 64; u++ {
 		state := fetchTabular(t, client)

@@ -51,7 +51,7 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	client := NewNodeClient(ts.URL)
+	client := newTestClient(ts.URL)
 	for i := 0; i < 4; i++ {
 		if err := client.Report(transport.Envelope{
 			Meta:  transport.Metadata{DeviceID: "dev"},
@@ -60,18 +60,16 @@ func TestNodeMetricsEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fm, err := client.FetchModel(ModelKindTabular, "", false)
+	fm, err := client.FetchModel(ModelKindTabular, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fm2, err := client.FetchModel(ModelKindTabular, fm.ETag, false); err != nil {
+	if fm2, err := client.FetchModel(ModelKindTabular, fm.ETag); err != nil {
 		t.Fatal(err)
 	} else if !fm2.NotModified {
 		t.Fatal("second conditional fetch should be 304")
 	}
-	if _, err := client.FetchHealth(); err != nil {
-		t.Fatal(err)
-	}
+	mustGetJSON(t, ts.URL+"/healthz", new(Health))
 	// A request the node rejects must land in a non-2xx class counter.
 	resp, err := http.Post(ts.URL+"/shuffler/report", "application/json", strings.NewReader("{"))
 	if err != nil {
@@ -157,7 +155,7 @@ func TestNodeWithoutRegistryHasNoMetricsRoute(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("uninstrumented node: GET /metrics status %d, want 404", resp.StatusCode)
 	}
-	if err := NewNodeClient(ts.URL).Report(transport.Envelope{
+	if err := newTestClient(ts.URL).Report(transport.Envelope{
 		Tuple: transport.Tuple{Code: 1, Action: 1, Reward: 1},
 	}); err != nil {
 		t.Fatal(err)

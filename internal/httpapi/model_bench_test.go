@@ -55,7 +55,7 @@ func benchModelServer(b *testing.B) *server.Server {
 // a cached-bytes write — not a snapshot merge plus a fresh encode.
 func BenchmarkModelGet(b *testing.B) {
 	srv := benchModelServer(b)
-	h := NewServerHandler(srv)
+	h := newServerHandler(srv).routes()
 
 	run := func(b *testing.B, accept, inm string) {
 		req := httptest.NewRequest(http.MethodGet, "/model?kind=tabular", nil)

@@ -15,12 +15,11 @@ import (
 	"p2b/internal/transport"
 )
 
-func modelStack(t *testing.T) (*Client, *server.Server, func()) {
+func modelStack(t *testing.T) (*testClient, *server.Server, func()) {
 	t.Helper()
 	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1})
-	ts := httptest.NewServer(NewServerHandler(srv))
-	client := NewClient("", ts.URL)
-	return client, srv, ts.Close
+	ts := httptest.NewServer(newServerHandler(srv).routes())
+	return &testClient{ServerURL: ts.URL}, srv, ts.Close
 }
 
 func deliver(srv *server.Server, n int) {
@@ -36,7 +35,7 @@ func TestModelETagRoundTrip(t *testing.T) {
 	defer cleanup()
 	deliver(srv, 5)
 
-	first, err := client.FetchModel(ModelKindTabular, "", true)
+	first, err := client.FetchModel(ModelKindTabular, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +50,7 @@ func TestModelETagRoundTrip(t *testing.T) {
 	}
 
 	// Unchanged model: the conditional fetch must come back 304 with no body.
-	again, err := client.FetchModel(ModelKindTabular, first.ETag, true)
+	again, err := client.FetchModel(ModelKindTabular, first.ETag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestModelETagRoundTrip(t *testing.T) {
 
 	// Ingestion bumps the version: the same ETag must now miss.
 	deliver(srv, 3)
-	refreshed, err := client.FetchModel(ModelKindTabular, first.ETag, true)
+	refreshed, err := client.FetchModel(ModelKindTabular, first.ETag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,7 @@ func TestModelKindsAndErrors(t *testing.T) {
 	deliver(srv, 4)
 
 	// linucb kind serves a linear model.
-	lin, err := client.FetchModel(ModelKindLinUCB, "", true)
+	lin, err := client.FetchModel(ModelKindLinUCB, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +196,11 @@ func TestModelKindsAndErrors(t *testing.T) {
 		t.Fatalf("linucb kind returned %+v", lin)
 	}
 	// No decoder configured: centroid is 404.
-	if _, err := client.FetchModel(ModelKindCentroid, "", true); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := client.FetchModel(ModelKindCentroid, ""); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("centroid on a decoder-less node: %v", err)
 	}
 	// Unknown kind is 400.
-	if _, err := client.FetchModel("bogus", "", true); err == nil || !strings.Contains(err.Error(), "400") {
+	if _, err := client.FetchModel("bogus", ""); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("unknown kind: %v", err)
 	}
 }
@@ -367,7 +366,7 @@ func TestPayloadCacheSharesEncodedBytes(t *testing.T) {
 func TestServerStatsExposeReadPath(t *testing.T) {
 	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1})
 	deliver(srv, 5)
-	ts := httptest.NewServer(NewServerHandler(srv))
+	ts := httptest.NewServer(newServerHandler(srv).routes())
 	defer ts.Close()
 
 	for i := 0; i < 3; i++ {
@@ -412,16 +411,14 @@ func TestHealthzExposesReadPath(t *testing.T) {
 	ts := httptest.NewServer(NewNodeHandler(shuf, srv))
 	defer ts.Close()
 
-	client := NewNodeClient(ts.URL)
+	client := newTestClient(ts.URL)
 	for i := 0; i < 2; i++ {
-		if _, err := client.FetchModel(ModelKindTabular, "", true); err != nil {
+		if _, err := client.FetchModel(ModelKindTabular, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h, err := client.FetchHealth()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var h Health
+	mustGetJSON(t, ts.URL+"/healthz", &h)
 	// The second fetch is a payload-cache hit: it never reaches the
 	// snapshot cache at all, so snapshot builds stay at one and hits at
 	// zero — the encoded-bytes layer shields the snapshot layer entirely.
@@ -439,7 +436,7 @@ func TestHealthzExposesReadPath(t *testing.T) {
 func TestModelGetCachedPathAllocs(t *testing.T) {
 	srv := server.New(server.Config{K: 256, Arms: 8, D: 3, Alpha: 1, Seed: 1})
 	deliver(srv, 64)
-	h := NewServerHandler(srv)
+	h := newServerHandler(srv).routes()
 
 	req := httptest.NewRequest(http.MethodGet, "/model?kind=tabular", nil)
 	req.Header.Set("Accept", transport.ContentTypeModel)
@@ -469,7 +466,7 @@ func TestModelGetCachedPathAllocs(t *testing.T) {
 func TestConcurrentModelGetsAndIngest(t *testing.T) {
 	srv := server.New(server.Config{K: 32, Arms: 4, D: 3, Alpha: 1, Seed: 1})
 	deliver(srv, 8)
-	h := NewServerHandler(srv)
+	h := newServerHandler(srv).routes()
 
 	const rounds = 200
 	var wg sync.WaitGroup

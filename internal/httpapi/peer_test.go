@@ -232,7 +232,7 @@ func TestPeerStatusAndHealthzReportRoleAndPeers(t *testing.T) {
 		Role  string      `json:"role"`
 		Peers *PeerHealth `json:"peers"`
 	}
-	getJSON(t, ts.URL+"/healthz", &health)
+	mustGetJSON(t, ts.URL+"/healthz", &health)
 	if health.Role != "analyzer" {
 		t.Fatalf("healthz role = %q", health.Role)
 	}
@@ -250,13 +250,13 @@ func TestPeerStatusAndHealthzReportRoleAndPeers(t *testing.T) {
 		Role  string      `json:"role"`
 		Peers *PeerHealth `json:"peers"`
 	}
-	getJSON(t, ts.URL+"/server/stats", &stats)
+	mustGetJSON(t, ts.URL+"/server/stats", &stats)
 	if stats.Role != "analyzer" || stats.Peers == nil || stats.Peers.MergesApplied != 1 {
 		t.Fatalf("server/stats role=%q peers=%+v", stats.Role, stats.Peers)
 	}
 
 	var peerStatus PeerHealth
-	getJSON(t, ts.URL+"/peer/status", &peerStatus)
+	mustGetJSON(t, ts.URL+"/peer/status", &peerStatus)
 	if peerStatus.MergesApplied != 1 || len(peerStatus.Sync) != 1 {
 		t.Fatalf("peer/status = %+v", peerStatus)
 	}
@@ -304,7 +304,7 @@ func TestRelayHandlerEndToEnd(t *testing.T) {
 
 	// Agents cannot tell a relay from a combined node: the same client
 	// reports through the same shuffler surface.
-	client := NewNodeClient(relayTS.URL)
+	client := newTestClient(relayTS.URL)
 	for i := 0; i < 8; i++ {
 		if err := client.Report(transport.Envelope{Tuple: transport.Tuple{Code: i % 8, Action: i % 4, Reward: 1}}); err != nil {
 			t.Fatal(err)
@@ -319,7 +319,7 @@ func TestRelayHandlerEndToEnd(t *testing.T) {
 
 	// The relay's /healthz names its role, shapes and forward counters.
 	var health Health
-	getJSON(t, relayTS.URL+"/healthz", &health)
+	mustGetJSON(t, relayTS.URL+"/healthz", &health)
 	if health.Role != "relay" || health.Status != "ok" {
 		t.Fatalf("relay healthz = %+v", health)
 	}
@@ -345,21 +345,5 @@ func TestRelayHandlerEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(body, "p2b_forward_tuples_total 8") {
 		t.Fatalf("forward tuple counter drifted:\n%s", body)
-	}
-}
-
-// getJSON fetches url and decodes the body.
-func getJSON(t *testing.T, url string, v any) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		t.Fatalf("GET %s: %v", url, err)
 	}
 }

@@ -127,7 +127,7 @@ type event struct {
 
 // Run executes one load run against cfg.NodeURL and blocks until every
 // issued request has completed. The node must already be serving; callers
-// typically preflight with httpapi's FetchHealth first.
+// typically preflight with agent.FetchHealth first.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.NodeURL == "" {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -23,7 +24,6 @@ import (
 	"p2b/internal/server"
 	"p2b/internal/shuffler"
 	"p2b/internal/topology"
-	"p2b/internal/transport"
 )
 
 const deadURL = "http://127.0.0.1:1"
@@ -92,14 +92,19 @@ func topLevelKeys(t *testing.T, doc []byte) string {
 	return strings.Join(keys, ",")
 }
 
-// report posts count single-tuple reports of reward 1 through the node's
-// own client surface.
+// report posts count single-tuple reports of reward 1 to the node's
+// per-envelope route.
 func report(t *testing.T, url string, count int) {
 	t.Helper()
-	c := httpapi.NewNodeClient(url)
 	for i := 0; i < count; i++ {
-		if err := c.Report(transport.Envelope{Tuple: transport.Tuple{Code: i % 8, Action: i % 3, Reward: 1}}); err != nil {
+		body := fmt.Sprintf(`{"tuple":{"code":%d,"action":%d,"reward":1}}`, i%8, i%3)
+		resp, err := http.Post(url+"/shuffler/report", "application/json", strings.NewReader(body))
+		if err != nil {
 			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("report %d: status %d", i, resp.StatusCode)
 		}
 	}
 }

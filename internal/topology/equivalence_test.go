@@ -18,7 +18,7 @@ import (
 	"testing"
 	"time"
 
-	"p2b/internal/httpapi"
+	"p2b/agent"
 	"p2b/internal/node"
 	"p2b/internal/rng"
 	"p2b/internal/server"
@@ -83,19 +83,22 @@ func eqBatches(n int, seed uint64) [][]transport.Tuple {
 	return out
 }
 
-// submit posts one batch over the binary wire and flushes, mirroring how
+// submit posts each batch over the binary wire and flushes, mirroring how
 // the equivalence script drives real processes phase by phase.
 func submit(t *testing.T, nodeURL string, batches [][]transport.Tuple) {
 	t.Helper()
-	client := httpapi.NewNodeClient(nodeURL)
+	tr := agent.NewHTTPTransport(nodeURL, agent.HTTPTransportOptions{MaxBatch: eqBatch, MaxAge: time.Hour, MaxInFlight: 1})
 	for _, b := range batches {
 		for _, tup := range b {
-			if err := client.Report(transport.Envelope{Tuple: tup}); err != nil {
+			if err := tr.Report(agent.Envelope{Tuple: tup}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := client.Flush(); err != nil {
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.FlushNode(); err != nil {
 		t.Fatal(err)
 	}
 }
