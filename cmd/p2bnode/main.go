@@ -41,9 +41,12 @@
 //	                POST /peer/ingest and sibling state on POST /peer/merge
 //
 // Analyzers (and combined nodes) push their local model contribution to
-// every -peers URL on a -peer-sync interval, so any analyzer can serve
-// GET /server/model with the fleet-wide model. On the -digest-sync
-// interval they additionally pull: each round fetches every peer's
+// every -peers URL whenever it changes — at once when idle, otherwise
+// after a hold-off of 19x the last push's measured time, so pushing
+// stays near 5% of wall time at any model shape — and any analyzer can
+// serve GET /server/model with the fleet-wide model. The -peer-sync
+// interval is the repair path behind that: it retries failed pushes and
+// caps the hold-off. On the -digest-sync interval they additionally pull: each round fetches every peer's
 // /peer/digest high-water vector and retrieves only the contributions
 // this node is missing, so an analyzer that was partitioned away (and
 // whose siblings have nothing new to push) still converges on its own
@@ -132,7 +135,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.Advertise, "advertise", "", "base URL other fleet members reach this node at (default http://localhost<addr>)")
 	fs.StringVar(&o.Downstream, "downstream", "", "relay only: base URL of the analyzer finished batches are forwarded to")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated base URLs of sibling analyzers to push local state to")
-	fs.DurationVar(&o.PeerSync, "peer-sync", 2*time.Second, "anti-entropy push interval to -peers")
+	fs.DurationVar(&o.PeerSync, "peer-sync", 2*time.Second, "repair interval for anti-entropy pushes to -peers: pushes are triggered by local change; this retries failed ones and caps the gap between them")
 	fs.DurationVar(&o.DigestSync, "digest-sync", 15*time.Second, "pull-based anti-entropy interval: each round fetches peer digests and pulls only missing contributions, so a partitioned analyzer converges without waiting for inbound pushes (0 = pushes only)")
 	fs.StringVar(&o.PeerToken, "peer-token", "", "bearer token required on inbound /peer/* routes and sent on outbound peer traffic (empty = open)")
 	fs.StringVar(&o.Registry, "registry", "", "bulletin-board base URL to announce this node on (see cmd/p2bboard; empty = no announcement)")

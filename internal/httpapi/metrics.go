@@ -277,6 +277,12 @@ func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, sh *serverHa
 			reg.CounterFunc("p2b_peer_sync_errors_total", "",
 				"Failed outbound peer state pushes, summed over peers.",
 				func() float64 { return syncTotal(func(st topology.SyncStatus) int64 { return st.Errors }) })
+			reg.CounterFunc("p2b_peer_sync_triggered_total", "",
+				"Push rounds started by a local state change rather than the repair ticker, summed over peers.",
+				func() float64 { return syncTotal(func(st topology.SyncStatus) int64 { return st.Triggered }) })
+			reg.GaugeFunc("p2b_peer_sync_last_round_seconds", "",
+				"Wall time of the most recent background push round (export, encode, POST and merge at every peer).",
+				func() float64 { return peerSyncLastRound(peer.Sync()) })
 			reg.GaugeFunc("p2b_peer_sync_max_lag_seconds", "",
 				"Age of the oldest peer's last successful state push (-1 until every peer has been reached once).",
 				func() float64 { return peerSyncMaxLag(peer.Sync(), time.Now()) })
@@ -294,6 +300,16 @@ func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, sh *serverHa
 		}
 	}
 	return nm
+}
+
+// peerSyncLastRound reads the loop's last push-round time, in seconds. The
+// loop stamps each round onto every peer's status, so the entries agree.
+func peerSyncLastRound(sts []topology.SyncStatus) float64 {
+	ms := 0.0
+	for _, st := range sts {
+		ms = max(ms, st.LastRoundMs)
+	}
+	return ms / 1000
 }
 
 // peerSyncMaxLag computes the worst-case peer staleness: the age of the

@@ -79,9 +79,9 @@ type Config struct {
 	// Downstream is the analyzer a relay forwards finished batches to.
 	// Required on a relay, refused elsewhere.
 	Downstream string
-	// Peers are the sibling analyzers local state is pushed to and missing
-	// contributions are pulled from, every PeerSync and DigestSync
-	// respectively (DigestSync 0 = pushes only). Refused on a relay.
+	// Peers are the sibling analyzers local state is pushed to — whenever it
+	// changes, and every PeerSync as repair — and missing contributions are
+	// pulled from every DigestSync (0 = pushes only). Refused on a relay.
 	Peers      []string
 	PeerSync   time.Duration
 	DigestSync time.Duration
@@ -196,6 +196,7 @@ func Open(cfg Config) (*Node, error) {
 			Token:          cfg.PeerToken,
 			Export:         n.srv.ExportState,
 			LocalVersion:   n.srv.LocalVersion,
+			Changed:        n.srv.LocalChanged(),
 			Logf:           cfg.Logf,
 			DigestInterval: cfg.DigestSync,
 			Local: func() []topology.DigestEntry {
@@ -249,8 +250,8 @@ func Open(cfg Config) (*Node, error) {
 		// Last, once nothing in Open can fail any more: the loop only dials
 		// out, so it need not wait for the listener.
 		n.peering.Start()
-		cfg.Logf("node: pushing state to %d peer(s) every %v as origin %q (digest round: %v)",
-			len(cfg.Peers), cfg.PeerSync, cfg.Name, cfg.DigestSync)
+		cfg.Logf("node: pushing state to %d peer(s) on change as origin %q (repair push every %v, digest round: %v)",
+			len(cfg.Peers), cfg.Name, cfg.PeerSync, cfg.DigestSync)
 	}
 	return n, nil
 }

@@ -24,6 +24,7 @@ import (
 	"p2b/internal/server"
 	"p2b/internal/shuffler"
 	"p2b/internal/topology"
+	"p2b/internal/transport"
 )
 
 const deadURL = "http://127.0.0.1:1"
@@ -326,5 +327,161 @@ func TestShutdownLeavesACheckpointThatReplaysNothing(t *testing.T) {
 	}
 	if err := boot2.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// openPeered opens two in-memory analyzers that push to each other with
+// both timers parked — PeerSync an hour, no digest round — so state can
+// only cross when a local change triggers a push. mergeDelay slows b's
+// /peer/merge, which is what stretches a's hold-off past the floor.
+func openPeered(t *testing.T, mergeDelay time.Duration) (a, b *Node, aURL, bURL string) {
+	t.Helper()
+	tsA, tsB := httptest.NewUnstartedServer(nil), httptest.NewUnstartedServer(nil)
+	aURL, bURL = "http://"+tsA.Listener.Addr().String(), "http://"+tsB.Listener.Addr().String()
+	boot := func(name, peer string, ts *httptest.Server, delay time.Duration) *Node {
+		cfg := testConfig(topology.RoleAnalyzer, name, "")
+		cfg.Peers, cfg.PeerSync, cfg.DigestSync, cfg.Logf = []string{peer}, time.Hour, 0, t.Logf
+		n, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := n.Handler()
+		ts.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/peer/merge" {
+				time.Sleep(delay)
+			}
+			h.ServeHTTP(w, r)
+		})
+		ts.Start()
+		t.Cleanup(ts.Close)
+		return n
+	}
+	a, b = boot("a1", bURL, tsA, 0), boot("b1", aURL, tsB, mergeDelay)
+	t.Cleanup(func() {
+		_ = a.Shutdown(context.Background())
+		_ = b.Shutdown(context.Background())
+	})
+	return a, b, aURL, bURL
+}
+
+func batchOf(code int) []transport.Tuple {
+	return []transport.Tuple{{Code: code % 8, Action: code % 3, Reward: 1}}
+}
+
+// await polls cond for up to limit: the only timers that could move state
+// are parked an hour out, so whatever satisfies it was change-triggered.
+func await(t *testing.T, limit time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(limit); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %v: %s", limit, what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// contribution is what holder has stored for origin, as pushed bytes.
+func contribution(t *testing.T, holder *Node, origin string) string {
+	t.Helper()
+	_, state, ok := holder.Server().PeerContribution(origin)
+	if !ok {
+		return ""
+	}
+	return exportJSON(t, state)
+}
+
+// localExport is what n's next push would carry: its local state with
+// the relay guards stripped, as pushed bytes.
+func localExport(t *testing.T, n *Node) string {
+	t.Helper()
+	ps := n.Server().ExportState()
+	ps.Relays = nil
+	return exportJSON(t, ps)
+}
+
+// awaitMerges waits until holder has applied n peer pushes.
+func awaitMerges(t *testing.T, holder *Node, n int64) {
+	t.Helper()
+	await(t, 2*time.Second, fmt.Sprintf("push %d never landed", n), func() bool {
+		applied, _, _, _ := holder.Server().PeerCounters()
+		return applied == n
+	})
+}
+
+func exportJSON(t *testing.T, ps *server.PersistedState) string {
+	t.Helper()
+	blob, err := json.Marshal(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(blob)
+}
+
+// One batch delivered at an analyzer is served by its sibling's model
+// route within a second, with no push or digest timer able to fire.
+func TestLocalChangeReachesThePeerWithoutATimer(t *testing.T) {
+	a, _, aURL, bURL := openPeered(t, 0)
+	empty := string(get(t, bURL+"/server/model?kind=tabular"))
+	a.Server().Deliver(batchOf(1))
+	want := string(get(t, aURL+"/server/model?kind=tabular"))
+	if want == empty {
+		t.Fatal("the delivery did not change a1's own model")
+	}
+	await(t, time.Second, "b1 still serves the model without a1's batch", func() bool {
+		return string(get(t, bURL+"/server/model?kind=tabular")) == want
+	})
+	var st struct {
+		Peers struct {
+			Sync []topology.SyncStatus `json:"sync"`
+		} `json:"peers"`
+	}
+	if err := json.Unmarshal(get(t, aURL+"/healthz"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Peers.Sync) != 1 || st.Peers.Sync[0].Triggered == 0 || st.Peers.Sync[0].LastRoundMs <= 0 {
+		t.Errorf("a1 /healthz peers.sync = %+v, want a triggered round with its time", st.Peers.Sync)
+	}
+}
+
+// No lost wake-up: a burst that lands inside a hold-off coalesces into
+// exactly one trailing round, and that round carries the final state.
+func TestBurstDuringAHoldoffCoalescesIntoOneTrailingPush(t *testing.T) {
+	a, b, _, _ := openPeered(t, 20*time.Millisecond) // a 20ms round earns a 380ms hold-off
+	a.Server().Deliver(batchOf(0))
+	awaitMerges(t, b, 1) // the leading push
+	for i := 1; i <= 100; i++ {
+		a.Server().Deliver(batchOf(i))
+	}
+	want := localExport(t, a)
+	await(t, 2*time.Second, "b1 never received a1's final state", func() bool {
+		return contribution(t, b, "a1") == want
+	})
+	// Silence: nothing further is owed, so nothing further is sent.
+	time.Sleep(50 * time.Millisecond)
+	if applied, rejected, _, _ := b.Server().PeerCounters(); applied != 2 || rejected != 0 {
+		t.Errorf("b1 merged %d pushes and rejected %d, want the leading and one trailing push", applied, rejected)
+	}
+	if st := a.peering.Status()[0]; st.Triggered != 2 || st.Pushes != 2 {
+		t.Errorf("a1 sync status = %+v, want 2 triggered rounds and 2 pushes", st)
+	}
+}
+
+// Shutdown does not wait out a pending hold-off, and its final push
+// still hands the peer everything local.
+func TestShutdownDuringAHoldoffStillPushesTheFinalState(t *testing.T) {
+	a, b, _, _ := openPeered(t, 50*time.Millisecond) // a 50ms round earns a 950ms hold-off
+	a.Server().Deliver(batchOf(0))
+	awaitMerges(t, b, 1)           // the leading push
+	a.Server().Deliver(batchOf(1)) // owed a trailing round ~950ms from now
+	want := localExport(t, a)
+	start := time.Now()
+	if err := a.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 600*time.Millisecond {
+		t.Errorf("Shutdown took %v: it waited for the hold-off", took)
+	}
+	if got := contribution(t, b, "a1"); got != want {
+		t.Errorf("b1 holds\n %s\nafter a1's shutdown, want its final state\n %s", got, want)
 	}
 }

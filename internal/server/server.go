@@ -163,6 +163,10 @@ type Server struct {
 	// stored sibling-analyzer contributions (see peer.go).
 	peers peerState
 
+	// changed carries at most one pending "local state moved" signal to
+	// whoever reads LocalChanged.
+	changed chan struct{}
+
 	decodeTo func(dst []float64, code int) []float64 // nil without Decoder
 }
 
@@ -221,7 +225,12 @@ func New(cfg Config) *Server {
 			cfg.Shards = 16
 		}
 	}
-	s := &Server{cfg: cfg, epoch: uint64(epochClock().UnixNano()), shards: make([]shard, cfg.Shards)}
+	s := &Server{
+		cfg:     cfg,
+		epoch:   uint64(epochClock().UnixNano()),
+		shards:  make([]shard, cfg.Shards),
+		changed: make(chan struct{}, 1),
+	}
 	s.peers.contribs = make(map[string]*peerContribution)
 	s.peers.relays = make(map[string]PeerSeq)
 	for i := range s.shards {
@@ -342,6 +351,7 @@ func (s *Server) Deliver(batch []transport.Tuple) {
 	sh.tuples += ingested
 	sh.version.Add(1)
 	sh.mu.Unlock()
+	s.signalChanged()
 	s.delivered.Add(ingested)
 }
 
@@ -367,8 +377,28 @@ func (s *Server) IngestRaw(t transport.RawTuple) error {
 	sh.raw++
 	sh.version.Add(1)
 	sh.mu.Unlock()
+	s.signalChanged()
 	s.rawTuples.Add(1)
 	return nil
+}
+
+// LocalChanged returns a channel that receives after LOCAL state changes
+// (Deliver or IngestRaw — everything LocalVersion counts at run time). It
+// holds at most one pending signal, so any number of mutations between two
+// receives coalesce into one, and the signal is sent after the version
+// bump: a reader that exports once it has received always sees the change
+// that woke it. Applied peer merges and ImportState never signal — an
+// inbound contribution must not wake the loop that pushes outbound ones.
+func (s *Server) LocalChanged() <-chan struct{} { return s.changed }
+
+// signalChanged leaves one pending signal on the LocalChanged channel
+// unless one is already there. It never blocks and never allocates; with
+// no reader it is one failed send per batch.
+func (s *Server) signalChanged() {
+	select {
+	case s.changed <- struct{}{}:
+	default:
+	}
 }
 
 // TabularSnapshot returns a private deep copy of the global tabular model:

@@ -1,6 +1,7 @@
-// Analyzer peering: periodic anti-entropy pushes of each analyzer's LOCAL
-// model contribution to its sibling analyzers, plus an optional pull-based
-// digest round that heals what the pushes missed.
+// Analyzer peering: anti-entropy pushes of each analyzer's LOCAL model
+// contribution to its sibling analyzers — triggered by local change under
+// a self-scaling rate bound, with a periodic repair push behind it — plus
+// an optional pull-based digest round that heals what the pushes missed.
 //
 // The exchange is state replacement, not delta shipping: every push
 // carries the full merged export of the sender's own shards (what the
@@ -85,6 +86,10 @@ type SyncStatus struct {
 	Pulls      int64 `json:"pulls,omitempty"`       // completed digest rounds against this peer
 	PullErrors int64 `json:"pull_errors,omitempty"` // digest rounds that failed (fetch or apply)
 	Fetched    int64 `json:"fetched,omitempty"`     // contributions fetched and applied via digest rounds
+
+	// Background-loop health, zero while only manual Sync calls run.
+	Triggered   int64   `json:"triggered"`     // push rounds started by a local change rather than the repair ticker
+	LastRoundMs float64 `json:"last_round_ms"` // wall time of the loop's most recent push round, all peers included
 }
 
 // PeeringOptions configures an analyzer's outbound anti-entropy loop.
@@ -96,8 +101,11 @@ type PeeringOptions struct {
 	Epoch uint64
 	// Peers are the sibling analyzers' base URLs. Required (non-empty).
 	Peers []string
-	// Interval is the push period (default 2s). Convergence lag between
-	// analyzers is bounded by roughly one interval plus transfer time.
+	// Interval is the repair push period (default 2s). With Changed nil it
+	// is the only push trigger, and convergence lag between analyzers is
+	// bounded by roughly one interval plus transfer time; with Changed set
+	// it is the retry cadence after a failed push and the cap on the
+	// hold-off between change-triggered rounds.
 	Interval time.Duration
 	// Token, when non-empty, authenticates pushes as a bearer token.
 	Token string
@@ -118,6 +126,12 @@ type PeeringOptions struct {
 	// would let a digest under-report a pushed position and mask a
 	// missing fetch).
 	LocalVersion func() uint64
+	// Changed, when non-nil, wakes the Start loop after a local state
+	// change (wire it to server.LocalChanged): the loop pushes at once if
+	// idle, otherwise once more when the current hold-off ends. Signals
+	// may coalesce but one must follow every change. Nil leaves the
+	// Interval ticker as the only push trigger.
+	Changed <-chan struct{}
 	// Client overrides the HTTP client (tests).
 	Client *http.Client
 	// Logf receives push failures. Nil discards them.
@@ -198,10 +212,32 @@ func NewPeering(opts PeeringOptions) (*Peering, error) {
 	return p, nil
 }
 
-// Start launches the periodic loop: pushes every Interval, and — when the
-// digest round is enabled — pulls every DigestInterval. One goroutine
-// drives both, so a push cycle and a pull round never interleave. Stop it
-// with Close.
+// The duty bound on change-triggered pushing: after a push round that took
+// t the loop holds off for holdoffFactor·t, so rounds consume at most
+// 1/(1+holdoffFactor) = 5% of wall time whatever the model shape costs to
+// export, encode and merge, and the cadence backs off by itself when the
+// box or the peer slows down. holdoffFloor keeps near-free rounds (nothing
+// to push) from spinning; the ceiling is the repair Interval, so a slow or
+// blackholed peer never delays a retry for longer than the ticker alone
+// would have.
+const (
+	holdoffFactor = 19
+	holdoffFloor  = 5 * time.Millisecond
+)
+
+// holdoff is the quiet time after a push round that took the given time.
+func holdoff(took, interval time.Duration) time.Duration {
+	return min(max(holdoffFactor*took, holdoffFloor), interval)
+}
+
+// Start launches the background loop. A push round runs when local state
+// changes (PeeringOptions.Changed) — at once if the loop is idle (leading
+// edge), otherwise exactly once more when the hold-off after the previous
+// round ends (trailing edge), so a change is never lost and never waits
+// for a timer phase — and every Interval regardless, as the repair path
+// for failed pushes. When the digest round is enabled it pulls every
+// DigestInterval. One goroutine drives all of it, so rounds never
+// interleave. Stop it with Close.
 func (p *Peering) Start() {
 	go func() {
 		defer close(p.done)
@@ -213,17 +249,51 @@ func (p *Peering) Start() {
 			defer t.Stop()
 			pull = t.C
 		}
+		// quiet fires when the hold-off after the last round ends. While one
+		// is pending the loop does not listen for changes at all: the first
+		// signal parks in the Changed channel's single slot and later ones
+		// are dropped at the sender, so a busy analyzer wakes this goroutine
+		// once per round, not once per delivered batch, and the parked
+		// signal is what triggers the trailing round.
+		quiet := time.NewTimer(p.opts.Interval)
+		defer quiet.Stop()
+		quiet.Stop() // armed by a round, never before one
+		changed := p.opts.Changed
+		round := func(triggered bool) {
+			start := wallClock()
+			p.Sync()
+			took := wallClock().Sub(start)
+			p.noteRound(triggered, took)
+			quiet.Reset(holdoff(took, p.opts.Interval))
+			changed = nil
+		}
 		for {
 			select {
 			case <-p.stop:
 				return
 			case <-push.C:
-				p.Sync()
+				round(false)
 			case <-pull:
 				p.DigestSync()
+			case <-changed:
+				round(true)
+			case <-quiet.C:
+				changed = p.opts.Changed
 			}
 		}
 	}()
+}
+
+// noteRound records one background push round on every peer's status.
+func (p *Peering) noteRound(triggered bool, took time.Duration) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, st := range p.states {
+		if triggered {
+			st.Triggered++
+		}
+		st.LastRoundMs = float64(took) / float64(time.Millisecond)
+	}
 }
 
 // Close stops the push loop after finishing any in-flight cycle. A final
