@@ -3,10 +3,12 @@
 // testdata/bench_baseline/ and exits non-zero when throughput regressed
 // beyond the configured tolerance (default 30%).
 //
-// The gate configuration (which files and series to compare, tolerances,
-// absolute floors) is itself committed next to the baselines as
-// gate.json, so tightening or extending the gate is an ordinary reviewed
-// change.
+// The gate configuration (which files and series to compare, tolerances)
+// is itself committed next to the baselines as gate.json, so tightening or
+// extending the gate is an ordinary reviewed change. The two same-host
+// speedup floors (batched-vs-single, cached-vs-rebuild) are not in it: the
+// experiments that measure them return an error below the floor, so
+// p2bbench fails before there is a result to gate.
 //
 // Usage (what the CI workflow runs; $GUARD_BENCH_REGEX is defined in
 // .github/workflows/ci.yml and must stay equal to
@@ -25,15 +27,6 @@
 // can never silently drop benchmarks from the gate) and rewrites the
 // baseline directory from the fresh run. Run it on the reference machine,
 // inspect the diff, and commit.
-//
-// The load-SLO gate (testdata/bench_baseline/load_slo) is a separate
-// baseline tree with its own gate.json, compared by the CI load-slo job:
-//
-//	go run ./cmd/p2bgate -baseline testdata/bench_baseline/load_slo -results results-load
-//
-// Its baseline is refreshed by a real measured run, not by -update:
-//
-//	scripts/load_slo.sh testdata/bench_baseline/load_slo
 package main
 
 import (

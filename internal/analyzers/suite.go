@@ -12,7 +12,7 @@ import (
 // DeterminismCritical lists the packages whose outputs must be pure
 // functions of their inputs: the encode→shuffle→aggregate pipeline,
 // its persistence, and the fleet layer whose byte-for-byte equivalence
-// CI proves. detrand runs only here — packages like httpapi and loadgen
+// CI proves. detrand runs only here — packages like httpapi and agent
 // legitimately read wall clocks for timeouts and telemetry timestamps.
 var DeterminismCritical = []string{
 	"p2b/internal/rng",

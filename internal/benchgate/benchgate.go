@@ -5,9 +5,9 @@
 //
 // Two result formats are understood:
 //
-//   - "bench_series": a BENCH_<id>.json file emitted by `p2bbench -json`
-//     or `p2bload -json`. One named series is compared pointwise; values
-//     default to throughput-like (higher is better, regression of a point
+//   - "bench_series": a BENCH_<id>.json file emitted by `p2bbench -json`.
+//     One named series is compared pointwise; values default to
+//     throughput-like (higher is better, regression of a point
 //     is 1 − current/base), while a check with direction "lower" treats
 //     them as latency-like (lower is better, regression is current/base
 //     − 1) and may also pin an absolute ceiling with max.
@@ -72,8 +72,7 @@ type Check struct {
 	// Series names the series inside a bench_series file.
 	Series string `json:"series,omitempty"`
 	// Min, when non-zero, is an absolute floor every current value of a
-	// bench_series check must clear regardless of the baseline (e.g. the
-	// batched-vs-single speedup must stay >= 10).
+	// bench_series check must clear regardless of the baseline.
 	Min float64 `json:"min,omitempty"`
 	// Direction is "higher" (default: values are throughput-like) or
 	// "lower" (values are latency-like; growing is regressing).

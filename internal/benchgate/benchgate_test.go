@@ -109,7 +109,7 @@ func TestSeriesCheckImprovementIsNegativeRegression(t *testing.T) {
 }
 
 const loadJSONTmpl = `{
-  "name": "load_slo",
+  "name": "latency",
   "tables": [
     {
       "x_label": "percentile",
@@ -122,10 +122,10 @@ const loadJSONTmpl = `{
 
 func TestSeriesCheckDirectionLower(t *testing.T) {
 	baseDir, curDir := t.TempDir(), t.TempDir()
-	writeFile(t, baseDir, "BENCH_load_slo.json", strings.Replace(loadJSONTmpl, "%s", "10", 1))
-	writeFile(t, curDir, "BENCH_load_slo.json", strings.Replace(loadJSONTmpl, "%s", "12", 1)) // +20%: fine
+	writeFile(t, baseDir, "BENCH_latency.json", strings.Replace(loadJSONTmpl, "%s", "10", 1))
+	writeFile(t, curDir, "BENCH_latency.json", strings.Replace(loadJSONTmpl, "%s", "12", 1)) // +20%: fine
 	cfg := Config{Tolerance: 0.50, Checks: []Check{
-		{File: "BENCH_load_slo.json", Kind: "bench_series", Series: "ingest_latency_ms", Direction: "lower"},
+		{File: "BENCH_latency.json", Kind: "bench_series", Series: "ingest_latency_ms", Direction: "lower"},
 	}}
 	fs, err := Run(baseDir, curDir, cfg)
 	if err != nil {
@@ -139,7 +139,7 @@ func TestSeriesCheckDirectionLower(t *testing.T) {
 	}
 
 	// Tripled latency breaches the tolerance.
-	writeFile(t, curDir, "BENCH_load_slo.json", strings.Replace(loadJSONTmpl, "%s", "30", 1))
+	writeFile(t, curDir, "BENCH_latency.json", strings.Replace(loadJSONTmpl, "%s", "30", 1))
 	fs, err = Run(baseDir, curDir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestSeriesCheckDirectionLower(t *testing.T) {
 	}
 
 	// And a latency improvement must read as negative regression.
-	writeFile(t, curDir, "BENCH_load_slo.json", strings.Replace(loadJSONTmpl, "%s", "5", 1))
+	writeFile(t, curDir, "BENCH_latency.json", strings.Replace(loadJSONTmpl, "%s", "5", 1))
 	fs, err = Run(baseDir, curDir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -164,10 +164,10 @@ func TestSeriesCheckAbsoluteCeiling(t *testing.T) {
 	baseDir, curDir := t.TempDir(), t.TempDir()
 	// A bloated baseline must not launder an SLO breach: +10% relative is
 	// fine, but the ceiling still holds.
-	writeFile(t, baseDir, "BENCH_load_slo.json", strings.Replace(loadJSONTmpl, "%s", "300", 1))
-	writeFile(t, curDir, "BENCH_load_slo.json", strings.Replace(loadJSONTmpl, "%s", "330", 1))
+	writeFile(t, baseDir, "BENCH_latency.json", strings.Replace(loadJSONTmpl, "%s", "300", 1))
+	writeFile(t, curDir, "BENCH_latency.json", strings.Replace(loadJSONTmpl, "%s", "330", 1))
 	cfg := Config{Tolerance: 0.50, Checks: []Check{
-		{File: "BENCH_load_slo.json", Kind: "bench_series", Series: "ingest_latency_ms",
+		{File: "BENCH_latency.json", Kind: "bench_series", Series: "ingest_latency_ms",
 			Direction: "lower", Max: 250},
 	}}
 	fs, err := Run(baseDir, curDir, cfg)
@@ -182,10 +182,10 @@ func TestSeriesCheckAbsoluteCeiling(t *testing.T) {
 
 func TestSeriesCheckUnknownDirectionIsError(t *testing.T) {
 	baseDir, curDir := t.TempDir(), t.TempDir()
-	writeFile(t, baseDir, "BENCH_load_slo.json", strings.Replace(loadJSONTmpl, "%s", "10", 1))
-	writeFile(t, curDir, "BENCH_load_slo.json", strings.Replace(loadJSONTmpl, "%s", "10", 1))
+	writeFile(t, baseDir, "BENCH_latency.json", strings.Replace(loadJSONTmpl, "%s", "10", 1))
+	writeFile(t, curDir, "BENCH_latency.json", strings.Replace(loadJSONTmpl, "%s", "10", 1))
 	cfg := Config{Tolerance: 0.50, Checks: []Check{
-		{File: "BENCH_load_slo.json", Kind: "bench_series", Series: "ingest_latency_ms", Direction: "sideways"},
+		{File: "BENCH_latency.json", Kind: "bench_series", Series: "ingest_latency_ms", Direction: "sideways"},
 	}}
 	if _, err := Run(baseDir, curDir, cfg); err == nil {
 		t.Fatal("unknown direction accepted")

@@ -6,9 +6,9 @@
 //
 // Scale semantics: the paper's full populations (up to 10^6 users) are
 // reachable but slow; Options.Scale multiplies the population/data sizes,
-// with Scale=1 tuned so every figure regenerates in seconds. The per-
-// experiment index in DESIGN.md records the scale at which EXPERIMENTS.md
-// numbers were produced.
+// with Scale=1 tuned so every figure regenerates in seconds. Each figure's
+// doc comment states its Scale=1 sizes and the factor that reaches the
+// paper's; no reproduced numbers are committed yet (ROADMAP item 5).
 package experiments
 
 import (
