@@ -109,7 +109,8 @@ const (
 	ModelTabular ModelKind = iota
 	// ModelLinUCB is the raw-context LinUCB baseline model.
 	ModelLinUCB
-	// ModelCentroid is the LinUCB model over decoded centroids.
+	// ModelCentroid is the LinUCB model over decoded centroids. Only the
+	// in-process Loopback serves it; a node's model route does not.
 	ModelCentroid
 )
 

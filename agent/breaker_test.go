@@ -1,8 +1,8 @@
 package agent
 
 import (
-	"errors"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,13 +102,13 @@ func TestModel4xxDoesNotOpenSharedBreaker(t *testing.T) {
 	cb := NewCircuitBreaker(BreakerConfig{FailureThreshold: 3, OpenFor: time.Hour})
 	src := NewHTTPSource(url, HTTPSourceOptions{Breaker: cb})
 	for i := 0; i < 5; i++ {
-		// No decoder is configured, so the node answers centroid with 404.
-		if err := src.Refresh(ModelCentroid); err == nil || errors.Is(err, ErrBreakerOpen) {
-			t.Fatalf("centroid fetch %d = %v, want the node's own 404 every time", i, err)
+		// A node serves no centroid model, so it answers that kind with 400.
+		if err := src.Refresh(ModelCentroid); err == nil || !strings.Contains(err.Error(), "status 400") {
+			t.Fatalf("centroid fetch %d = %v, want the node's own 400 every time", i, err)
 		}
 	}
 	if st := cb.Stats(); st.State != "closed" || st.Failures != 0 {
-		t.Fatalf("breaker after five 404 model fetches = %+v, want closed with no failures", st)
+		t.Fatalf("breaker after five 400 model fetches = %+v, want closed with no failures", st)
 	}
 	tr := NewHTTPTransport(url, HTTPTransportOptions{MaxBatch: 1, MaxAge: time.Hour, MaxRetries: -1, Breaker: cb})
 	if err := tr.Report(Envelope{Tuple: transport.Tuple{Code: 1, Action: 1, Reward: 1}}); err != nil {

@@ -139,8 +139,10 @@ func main() {
 		case *csv:
 			fmt.Print(res.CSV())
 		default:
-			fmt.Print(res.Render())
-			fmt.Printf("\n(%s completed in %v at scale %g)\n\n", n, elapsed.Round(time.Millisecond), *scale)
+			// The timing line goes to stderr: stdout at a fixed seed holds
+			// only results, so two runs can be compared byte for byte.
+			fmt.Printf("%s\n\n", res.Render())
+			fmt.Fprintf(os.Stderr, "(%s completed in %v at scale %g)\n", n, elapsed.Round(time.Millisecond), *scale)
 		}
 		if *jsonOut {
 			blob, err := json.MarshalIndent(toBenchJSON(res, opts, elapsed), "", "  ")

@@ -17,7 +17,7 @@
 //	                        model version is the ETag, so an If-None-Match
 //	                        poll of an unchanged model costs a 304; the
 //	                        body is binary (Accept: application/x-p2b-model)
-//	                        or JSON; ?kind=tabular|linucb|centroid
+//	                        or JSON; ?kind=tabular|linucb
 //	POST /server/raw        (non-private baseline ingestion)
 //	GET  /server/stats
 //	GET  /healthz           liveness + persistence status

@@ -13,12 +13,13 @@ import (
 )
 
 // godocLintDirs are the packages the documentation gate covers: the public
-// SDK surface, the fleet-topology package operators script against, and
-// the metrics/persist packages whose exported types the telemetry and
-// durability tooling (p2bwal, dashboards) build on. CI runs this test as
-// its godoc lint step; adding a package here makes its exported surface
-// documentation-mandatory.
-var godocLintDirs = []string{".", "agent", "internal/metrics", "internal/node", "internal/persist", "internal/topology"}
+// SDK surface, the fleet-topology package operators script against, the
+// metrics/persist packages whose exported types the telemetry and
+// durability tooling (p2bwal, dashboards) build on, and the analyzer server
+// whose PersistedState is the checkpoint and peer-merge body. CI runs this
+// test as its godoc lint step; adding a package here makes its exported
+// surface documentation-mandatory.
+var godocLintDirs = []string{".", "agent", "internal/metrics", "internal/node", "internal/persist", "internal/server", "internal/topology"}
 
 // TestExportedIdentifiersAreDocumented fails when any exported identifier
 // in the covered packages lacks a doc comment. Undocumented exports are

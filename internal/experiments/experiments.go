@@ -21,8 +21,10 @@ import (
 
 // Options are shared by all experiment runners.
 type Options struct {
-	// Seed is the root seed; every run with the same seed and scale is
-	// reproducible.
+	// Seed is the root seed. Runs with the same seed and scale are
+	// reproducible only at Workers = 1: with more workers, goroutine
+	// scheduling decides batch membership and which model a warm-starting
+	// user reads, so results vary from run to run.
 	Seed uint64
 	// Scale multiplies population sizes. 1 (default) is bench scale;
 	// the per-figure doc comments state the factor that reaches the

@@ -9,7 +9,7 @@
 //	           GET  /stats          shuffler.Stats
 //	server:    GET  /model          versioned model sync (ETag/304, binary
 //	                                or JSON negotiated via Accept;
-//	                                ?kind=tabular|linucb|centroid; served
+//	                                ?kind=tabular|linucb; served
 //	                                from cached encoded payloads, one
 //	                                build per model version)
 //	           POST /raw            one transport.RawTuple (baseline path)
@@ -428,8 +428,8 @@ type payloadSlot struct {
 // answered from the version counters alone, never building a snapshot.
 type serverHandler struct {
 	s *server.Server
-	// payload slots: 3 kinds x 2 representations, indexed by payloadIndex.
-	payloads [6]payloadSlot
+	// payload slots: 2 kinds x 2 representations, indexed by payloadIndex.
+	payloads [4]payloadSlot
 
 	payloadHits   atomic.Int64
 	payloadBuilds atomic.Int64
@@ -507,9 +507,8 @@ type serverStatsPayload struct {
 // Model kinds accepted by GET /server/model?kind=...; the default is
 // tabular, the production P2B warm-start model.
 const (
-	ModelKindTabular  = "tabular"
-	ModelKindLinUCB   = "linucb"
-	ModelKindCentroid = "centroid"
+	ModelKindTabular = "tabular"
+	ModelKindLinUCB  = "linucb"
 )
 
 // ModelVersionHeader carries the model version alongside the ETag, so
@@ -598,8 +597,6 @@ func modelKindParam(r *http.Request) string {
 		return ModelKindTabular
 	case "kind=" + ModelKindLinUCB:
 		return ModelKindLinUCB
-	case "kind=" + ModelKindCentroid:
-		return ModelKindCentroid
 	}
 	if kind := r.URL.Query().Get("kind"); kind != "" {
 		return kind
@@ -612,14 +609,11 @@ func modelKindParam(r *http.Request) string {
 //p2b:hotpath
 func payloadIndex(kind string, binary bool) int {
 	i := 0
-	switch kind {
-	case ModelKindLinUCB:
+	if kind == ModelKindLinUCB {
 		i = 1
-	case ModelKindCentroid:
-		i = 2
 	}
 	if binary {
-		i += 3
+		i += 2
 	}
 	return i
 }
@@ -632,14 +626,9 @@ func (h *serverHandler) serveModel(w http.ResponseWriter, r *http.Request) {
 	kind := modelKindParam(r)
 	switch kind {
 	case ModelKindTabular, ModelKindLinUCB:
-	case ModelKindCentroid:
-		if h.s.Config().Decoder == nil {
-			http.Error(w, "httpapi: node maintains no centroid model (no decoder configured)", http.StatusNotFound)
-			return
-		}
 	default:
-		http.Error(w, fmt.Sprintf("httpapi: unknown model kind %q (want %s, %s or %s)",
-			kind, ModelKindTabular, ModelKindLinUCB, ModelKindCentroid), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("httpapi: unknown model kind %q (want %s or %s)",
+			kind, ModelKindTabular, ModelKindLinUCB), http.StatusBadRequest)
 		return
 	}
 	h.servePayload(w, r, kind, acceptsBinaryModel(r))
@@ -712,8 +701,6 @@ func (h *serverHandler) buildPayload(slot *payloadSlot, kind string, binary bool
 		tab, version = h.s.TabularModel()
 	case ModelKindLinUCB:
 		lin, version = h.s.LinUCBModel()
-	case ModelKindCentroid:
-		lin, version = h.s.CentroidModel()
 	}
 	p := &modelPayload{
 		version:    version,

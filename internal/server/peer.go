@@ -161,11 +161,6 @@ func (s *Server) MergePeerState(origin string, epoch, seq uint64, ps *PersistedS
 	if err := ps.Lin.validate("peer lin", s.cfg.Arms, s.cfg.D); err != nil {
 		return false, err
 	}
-	if ps.Cent != nil {
-		if err := ps.Cent.validate("peer cent", s.cfg.Arms, s.cfg.D); err != nil {
-			return false, err
-		}
-	}
 	s.peers.mu.Lock()
 	if cur, ok := s.peers.contribs[origin]; ok && cur.pos.Covers(epoch, seq) {
 		s.peers.mu.Unlock()

@@ -28,17 +28,18 @@ type LinAccumState struct {
 // PersistedState is the exact serializable form of the server's model
 // state, merged across shards. It contains only additive sufficient
 // statistics over anonymized tuples — no per-device information exists
-// anywhere in the server to leak.
+// anywhere in the server to leak. The centroid model is not part of it:
+// it is derived from the cells, so its shape is the same with or without
+// a Decoder.
 type PersistedState struct {
 	K     int     `json:"k"`
 	Arms  int     `json:"arms"`
 	D     int     `json:"d"`
 	Alpha float64 `json:"alpha"`
 
-	CellCount []float64      `json:"cell_count"` // (code, action) pull counts, indexed code*Arms+action
-	CellSum   []float64      `json:"cell_sum"`   // (code, action) reward sums
-	Lin       LinAccumState  `json:"lin"`        // raw-context baseline accumulator
-	Cent      *LinAccumState `json:"cent"`       // decoded-context accumulator; nil without a Decoder
+	CellCount []float64     `json:"cell_count"` // (code, action) pull counts, indexed code*Arms+action
+	CellSum   []float64     `json:"cell_sum"`   // (code, action) reward sums
+	Lin       LinAccumState `json:"lin"`        // raw-context baseline accumulator
 
 	Tuples    int64 `json:"tuples"`
 	Raw       int64 `json:"raw"`
@@ -98,12 +99,6 @@ func (s *Server) ExportState() *PersistedState {
 			ps.CellSum[j] += c.sum
 		}
 		exportLinAccum(&ps.Lin, sh.lin, s.cfg.Arms, s.cfg.D)
-		if sh.cent != nil {
-			if ps.Cent == nil {
-				ps.Cent = &LinAccumState{}
-			}
-			exportLinAccum(ps.Cent, sh.cent, s.cfg.Arms, s.cfg.D)
-		}
 		ps.Tuples += sh.tuples
 		ps.Raw += sh.raw
 		sh.mu.Unlock()
@@ -156,15 +151,6 @@ func (s *Server) ImportState(ps *PersistedState) error {
 	if err := ps.Lin.validate("lin", s.cfg.Arms, s.cfg.D); err != nil {
 		return err
 	}
-	hasCent := s.cfg.Decoder != nil
-	if hasCent != (ps.Cent != nil) {
-		return fmt.Errorf("server: persisted centroid accumulator present=%v, server decoder present=%v", ps.Cent != nil, hasCent)
-	}
-	if ps.Cent != nil {
-		if err := ps.Cent.validate("cent", s.cfg.Arms, s.cfg.D); err != nil {
-			return err
-		}
-	}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -181,9 +167,6 @@ func (s *Server) ImportState(ps *PersistedState) error {
 		sh.cells[j] = tabCell{count: ps.CellCount[j], sum: ps.CellSum[j]}
 	}
 	importLinAccum(sh.lin, &ps.Lin, s.cfg.Arms)
-	if ps.Cent != nil {
-		importLinAccum(sh.cent, ps.Cent, s.cfg.Arms)
-	}
 	sh.tuples = ps.Tuples
 	sh.raw = ps.Raw
 	sh.version.Add(1) // invalidate any cached empty snapshot

@@ -130,9 +130,14 @@ func TestImportValidation(t *testing.T) {
 	if err := New(cfg).ImportState(&bad); err == nil {
 		t.Fatal("want error for truncated cells")
 	}
-	// Centroid accumulator presence must match the decoder configuration.
-	if err := New(Config{K: 4, Arms: 2, D: 2, Alpha: 1, Decoder: gridDecoder{d: 2}}).ImportState(good); err == nil {
-		t.Fatal("want error importing decoder-less state into decoder server")
+	// The centroid model is derived from the cells, so a decoder-less
+	// export imports into a decoder server and feeds its centroid model.
+	withDec := New(Config{K: 4, Arms: 2, D: 2, Alpha: 1, Decoder: gridDecoder{d: 2}})
+	if err := withDec.ImportState(good); err != nil {
+		t.Fatalf("decoder-less state into decoder server: %v", err)
+	}
+	if n := withDec.CentroidSnapshot().N; n[0] != 0 || n[1] != 1 {
+		t.Fatalf("imported centroid pulls = %v, want [0 1]", n)
 	}
 	// Non-empty destination is refused.
 	dst := New(cfg)

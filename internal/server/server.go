@@ -10,14 +10,16 @@
 //     the non-private baseline the paper compares against.
 //
 // A single experiment only exercises one of the two, but keeping both in
-// one server keeps the evaluation harness symmetrical.
+// one server keeps the evaluation harness symmetrical. With a Decoder, a
+// third model — LinUCB over decoded codes — is derived from the tabular
+// cells at snapshot time; it has no accumulator of its own.
 //
 // # Sharded ingestion
 //
 // Ingestion does not funnel through one global lock: the server keeps a
 // configurable number of shards, each holding its own additive accumulators
 // (tabular (count, sum) cells, and per-arm (sum x x^T, sum r x, n) for the
-// linear models). A Deliver or IngestRaw call locks exactly one shard —
+// raw-context model). A Deliver or IngestRaw call locks exactly one shard —
 // chosen round-robin — so concurrent calls from worker goroutines proceed
 // in parallel. Snapshots merge the shards on read; because all accumulators
 // are additive, the merge is exact. Merged snapshots are cached against a
@@ -40,17 +42,10 @@ import (
 
 // Decoder maps an encoded context back to a representative vector in the
 // context space (a cluster centroid or grid point). When a decoder is
-// configured, the server additionally maintains a LinUCB model over decoded
+// configured, the server additionally serves a LinUCB model over decoded
 // contexts — the centroid-learner variant of the private pipeline.
 type Decoder interface {
 	Decode(code int) []float64
-}
-
-// DecoderTo is the allocation-free variant of Decoder. Decoders that
-// implement it (like the k-means encoder) let the ingestion path reuse a
-// per-shard buffer instead of allocating one vector per tuple.
-type DecoderTo interface {
-	DecodeTo(dst []float64, code int) []float64
 }
 
 // Config describes the model shapes the server maintains.
@@ -60,8 +55,9 @@ type Config struct {
 	D     int     // raw context dimension of the LinUCB baseline model
 	Alpha float64 // exploration parameter baked into distributed snapshots
 	Seed  uint64  // retained for compatibility; ingestion itself is seedless
-	// Decoder, when non-nil, enables the centroid global model: delivered
-	// tuples also update a LinUCB over Decode(code) contexts.
+	// Decoder, when non-nil, enables the centroid global model: a LinUCB
+	// over Decode(code) contexts, derived from the tabular cells at
+	// snapshot time (see CentroidModel). Ingestion never calls it.
 	Decoder Decoder
 	// Shards is the number of ingestion shards (default: GOMAXPROCS,
 	// capped at 16). More shards admit more concurrent Deliver/IngestRaw
@@ -125,8 +121,6 @@ type shard struct {
 	mu      sync.Mutex
 	cells   []tabCell // (code, action) cells, indexed code*Arms+action
 	lin     *linAccum // raw-context baseline model
-	cent    *linAccum // decoded-context model; nil without a Decoder
-	decBuf  []float64 // DecodeTo scratch
 	tuples  int64     // encoded tuples folded into this shard
 	raw     int64     // raw tuples folded into this shard
 	version atomic.Uint64
@@ -166,8 +160,6 @@ type Server struct {
 	// changed carries at most one pending "local state moved" signal to
 	// whoever reads LocalChanged.
 	changed chan struct{}
-
-	decodeTo func(dst []float64, code int) []float64 // nil without Decoder
 }
 
 // snapshotCache memoizes the merged snapshot of one model kind against the
@@ -237,19 +229,6 @@ func New(cfg Config) *Server {
 		sh := &s.shards[i]
 		sh.cells = make([]tabCell, cfg.K*cfg.Arms)
 		sh.lin = newLinAccum(cfg.Arms, cfg.D)
-		if cfg.Decoder != nil {
-			sh.cent = newLinAccum(cfg.Arms, cfg.D)
-			sh.decBuf = make([]float64, cfg.D)
-		}
-	}
-	if cfg.Decoder != nil {
-		if dt, ok := cfg.Decoder.(DecoderTo); ok {
-			s.decodeTo = dt.DecodeTo
-		} else {
-			s.decodeTo = func(dst []float64, code int) []float64 {
-				return cfg.Decoder.Decode(code)
-			}
-		}
 	}
 	return s
 }
@@ -308,45 +287,29 @@ func (s *Server) ModelVersion() uint64 { return s.version() }
 // per client, always correct).
 func (s *Server) ModelEpoch() uint64 { return s.epoch }
 
-// Deliver folds one shuffled batch into the tabular global model (and the
-// centroid model when a decoder is configured). It implements
-// shuffler.Sink: the batch is only read during the call, so the shuffler is
-// free to reuse its buffer afterwards. The whole batch lands in a single
-// shard; concurrent Deliver calls proceed on distinct shards in parallel.
+// Deliver folds one shuffled batch into the tabular global model (from
+// which the centroid model is derived). It implements shuffler.Sink: the
+// batch is only read during the call, so the shuffler is free to reuse its
+// buffer afterwards. The whole batch lands in a single shard; concurrent
+// Deliver calls proceed on distinct shards in parallel.
 func (s *Server) Deliver(batch []transport.Tuple) {
 	sh := s.acquireShard()
 	k, arms := uint(s.cfg.K), uint(s.cfg.Arms)
 	narms := s.cfg.Arms
 	cells := sh.cells
 	ingested := int64(0)
-	if sh.cent == nil {
-		// Tabular-only fast path: one bounds check, one cache line and a
-		// branchless clamp per tuple. Malformed tuples (buggy or malicious
-		// clients) are dropped rather than corrupting the model.
-		for bi := range batch {
-			t := &batch[bi]
-			if uint(t.Code) >= k || uint(t.Action) >= arms {
-				continue
-			}
-			cell := &cells[t.Code*narms+t.Action]
-			cell.count++
-			cell.sum += clampReward(t.Reward)
-			ingested++
+	// One bounds check, one cache line and a branchless clamp per tuple.
+	// Malformed tuples (buggy or malicious clients) are dropped rather than
+	// corrupting the model.
+	for bi := range batch {
+		t := &batch[bi]
+		if uint(t.Code) >= k || uint(t.Action) >= arms {
+			continue
 		}
-	} else {
-		for bi := range batch {
-			t := &batch[bi]
-			if uint(t.Code) >= k || uint(t.Action) >= arms {
-				continue
-			}
-			reward := clampReward(t.Reward)
-			cell := &cells[t.Code*narms+t.Action]
-			cell.count++
-			cell.sum += reward
-			sh.decBuf = s.decodeTo(sh.decBuf, t.Code)
-			sh.cent.add(sh.decBuf, t.Action, reward)
-			ingested++
-		}
+		cell := &cells[t.Code*narms+t.Action]
+		cell.count++
+		cell.sum += clampReward(t.Reward)
+		ingested++
 	}
 	sh.tuples += ingested
 	sh.version.Add(1)
@@ -463,12 +426,7 @@ func (s *Server) LinUCBSnapshot() *bandit.LinUCBState {
 func (s *Server) LinUCBModel() (*bandit.LinUCBState, uint64) {
 	s.snapshots.Add(1)
 	v := s.version()
-	return s.linCache.get(v, func() *bandit.LinUCBState {
-		return s.buildLin(
-			func(sh *shard) *linAccum { return sh.lin },
-			func(ps *PersistedState) *LinAccumState { return &ps.Lin },
-		)
-	}), v
+	return s.linCache.get(v, s.buildLin), v
 }
 
 // CentroidSnapshot returns a private deep copy of the centroid global model,
@@ -485,6 +443,11 @@ func (s *Server) CentroidSnapshot() *bandit.LinUCBState {
 // with the model version it is keyed under (see TabularModel for the
 // sharing and race semantics). The snapshot is nil when the server was
 // built without a Decoder.
+//
+// The centroid model has no accumulator of its own: it is derived from the
+// tabular snapshot cached at the same version, peer cells included. With
+// c = Decode(code) and a cell's pull count n and reward sum s,
+// A_a = I + Σ_code n[code,a]·c·cᵀ and b_a = Σ_code s[code,a]·c.
 func (s *Server) CentroidModel() (*bandit.LinUCBState, uint64) {
 	if s.cfg.Decoder == nil {
 		return nil, s.version()
@@ -492,62 +455,80 @@ func (s *Server) CentroidModel() (*bandit.LinUCBState, uint64) {
 	s.snapshots.Add(1)
 	v := s.version()
 	return s.centCache.get(v, func() *bandit.LinUCBState {
-		return s.buildLin(
-			func(sh *shard) *linAccum { return sh.cent },
-			func(ps *PersistedState) *LinAccumState { return ps.Cent },
-		)
+		return s.buildCentroid(s.tabCache.get(v, s.buildTabular))
 	}), v
 }
 
-// buildLin merges the selected accumulator across shards — then folds the
-// matching accumulator of every stored peer contribution, in sorted origin
-// order — and converts the sufficient statistics into snapshot form:
-// A_a = I + sum x x^T, inverted once per arm (direct inversion here is
-// both cheaper and more accurate than replaying thousands of rank-1
-// updates). pickPeer may return nil for a contribution that lacks the
-// accumulator (a peer without a decoder), which skips it.
-func (s *Server) buildLin(pick func(*shard) *linAccum, pickPeer func(*PersistedState) *LinAccumState) *bandit.LinUCBState {
-	arms, d := s.cfg.Arms, s.cfg.D
-	aSum := make([]*mat.Dense, arms)
-	st := &bandit.LinUCBState{
-		Alpha: s.cfg.Alpha,
-		D:     d,
-		Arms:  arms,
-		AInv:  make([][]float64, arms),
-		B:     make([][]float64, arms),
-		N:     make([]int64, arms),
+// buildCentroid derives the centroid snapshot from a tabular snapshot,
+// decoding each code that has at least one pull exactly once.
+func (s *Server) buildCentroid(tab *bandit.TabularState) *bandit.LinUCBState {
+	arms := s.cfg.Arms
+	acc := newLinAccum(arms, s.cfg.D)
+	for code := 0; code < s.cfg.K; code++ {
+		var c mat.Vec
+		for a := 0; a < arms; a++ {
+			n := tab.Count[code*arms+a]
+			if n == 0 {
+				continue
+			}
+			if c == nil {
+				c = s.cfg.Decoder.Decode(code)
+			}
+			acc.a[a].AddOuter(c, n)
+			acc.b[a].AddScaled(tab.Sum[code*arms+a], c)
+			acc.n[a] += int64(n)
+		}
 	}
-	for a := 0; a < arms; a++ {
-		aSum[a] = mat.NewDense(d)
-		st.B[a] = make([]float64, d)
-	}
+	return s.linSnapshot(acc)
+}
+
+// buildLin merges the raw-context accumulator across shards, then folds
+// the baseline accumulator of every stored peer contribution in sorted
+// origin order.
+func (s *Server) buildLin() *bandit.LinUCBState {
+	acc := newLinAccum(s.cfg.Arms, s.cfg.D)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		acc := pick(sh)
-		for a := 0; a < arms; a++ {
-			aSum[a].Add(acc.a[a])
-			mat.Vec(st.B[a]).AddScaled(1, acc.b[a])
-			st.N[a] += acc.n[a]
+		for a := range acc.a {
+			acc.a[a].Add(sh.lin.a[a])
+			acc.b[a].AddScaled(1, sh.lin.b[a])
+			acc.n[a] += sh.lin.n[a]
 		}
 		sh.mu.Unlock()
 	}
 	for _, pc := range s.peerContributions() {
-		acc := pickPeer(pc.state)
-		if acc == nil {
-			continue
-		}
-		for a := 0; a < arms; a++ {
-			for i, v := range acc.A[a] {
-				aSum[a].Data[i] += v
+		peer := &pc.state.Lin
+		for a := range acc.a {
+			for i, v := range peer.A[a] {
+				acc.a[a].Data[i] += v
 			}
-			for i, v := range acc.B[a] {
-				st.B[a][i] += v
+			for i, v := range peer.B[a] {
+				acc.b[a][i] += v
 			}
-			st.N[a] += acc.N[a]
+			acc.n[a] += peer.N[a]
 		}
 	}
-	invertArms(st, aSum, d, 0)
+	return s.linSnapshot(acc)
+}
+
+// linSnapshot converts merged sufficient statistics into snapshot form,
+// taking ownership of acc: A_a = I + sum x x^T, inverted once per arm
+// (direct inversion here is both cheaper and more accurate than replaying
+// thousands of rank-1 updates).
+func (s *Server) linSnapshot(acc *linAccum) *bandit.LinUCBState {
+	st := &bandit.LinUCBState{
+		Alpha: s.cfg.Alpha,
+		D:     s.cfg.D,
+		Arms:  s.cfg.Arms,
+		AInv:  make([][]float64, s.cfg.Arms),
+		B:     make([][]float64, s.cfg.Arms),
+		N:     acc.n,
+	}
+	for a, b := range acc.b {
+		st.B[a] = b
+	}
+	invertArms(st, acc.a, s.cfg.D, 0)
 	return st
 }
 

@@ -165,7 +165,9 @@ func TestStatsCountsSnapshots(t *testing.T) {
 }
 
 func TestConcurrentDeliverAndSnapshot(t *testing.T) {
-	s := newTestServer()
+	// With a decoder, centroid reads derive from the tabular snapshot while
+	// deliveries race them.
+	s := New(Config{K: 4, Arms: 3, D: 2, Alpha: 1, Decoder: gridDecoder{d: 2}})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -180,12 +182,20 @@ func TestConcurrentDeliverAndSnapshot(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				_ = s.TabularSnapshot()
+				_ = s.CentroidSnapshot()
 			}
 		}()
 	}
 	wg.Wait()
 	if st := s.Stats(); st.TuplesIngested != 2000 {
 		t.Fatalf("ingested %d, want 2000", st.TuplesIngested)
+	}
+	var pulls int64
+	for _, n := range s.CentroidSnapshot().N {
+		pulls += n
+	}
+	if pulls != 2000 {
+		t.Fatalf("centroid model holds %d pulls, want 2000", pulls)
 	}
 }
 

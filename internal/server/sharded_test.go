@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"p2b/internal/bandit"
-	"p2b/internal/rng"
 	"p2b/internal/transport"
 )
 
@@ -102,48 +101,117 @@ func TestConcurrentIngestRawMergesExactly(t *testing.T) {
 	}
 }
 
-// decodeToCounter counts DecodeTo calls to prove the allocation-free
-// decoder path is used when available.
-type decodeToCounter struct {
+// countingDecoder counts Decode calls, to show where decoding happens.
+type countingDecoder struct {
+	gridDecoder
 	calls int
-	d     int
 }
 
-func (d *decodeToCounter) Decode(code int) []float64 { return make([]float64, d.d) }
-func (d *decodeToCounter) DecodeTo(dst []float64, code int) []float64 {
+func (d *countingDecoder) Decode(code int) []float64 {
 	d.calls++
-	if cap(dst) < d.d {
-		dst = make([]float64, d.d)
-	}
-	dst = dst[:d.d]
-	for i := range dst {
-		dst[i] = 0
-	}
-	dst[code%d.d] = 1
-	return dst
+	return d.gridDecoder.Decode(code)
 }
 
-func TestDeliverUsesDecodeTo(t *testing.T) {
-	dec := &decodeToCounter{d: 2}
-	s := New(Config{K: 4, Arms: 2, D: 2, Alpha: 1, Decoder: dec, Shards: 1})
-	s.Deliver([]transport.Tuple{
-		{Code: 0, Action: 0, Reward: 1},
-		{Code: 1, Action: 1, Reward: 0.5},
+// centroidReference is the per-tuple centroid accumulator the server kept
+// before the centroid model was derived from the tabular cells: every
+// valid tuple adds its decoded context's outer product and reward-weighted
+// context to its arm, with Deliver's validity rules and reward clamp.
+func centroidReference(dec Decoder, cfg Config, batches ...[]transport.Tuple) *bandit.LinUCBState {
+	acc := newLinAccum(cfg.Arms, cfg.D)
+	for _, batch := range batches {
+		for _, t := range batch {
+			if uint(t.Code) >= uint(cfg.K) || uint(t.Action) >= uint(cfg.Arms) {
+				continue
+			}
+			acc.add(dec.Decode(t.Code), t.Action, clampReward(t.Reward))
+		}
+	}
+	return New(cfg).linSnapshot(acc)
+}
+
+// requireCentroidClose checks N exactly and B and AInv to 1e-12 relative
+// to the largest reference entry of each arm.
+func requireCentroidClose(t *testing.T, got, want *bandit.LinUCBState) {
+	t.Helper()
+	within := func(name string, a int, g, w []float64) {
+		scale := 1.0
+		for _, v := range w {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		for i := range w {
+			if math.Abs(g[i]-w[i]) > 1e-12*scale {
+				t.Fatalf("%s arm %d entry %d = %v, reference %v", name, a, i, g[i], w[i])
+			}
+		}
+	}
+	for a := range want.N {
+		if got.N[a] != want.N[a] {
+			t.Fatalf("N arm %d = %d, reference %d", a, got.N[a], want.N[a])
+		}
+		within("B", a, got.B[a], want.B[a])
+		within("AInv", a, got.AInv[a], want.AInv[a])
+	}
+}
+
+// TestCentroidModelDerivesFromCells holds the centroid model derived from
+// the tabular cells to the per-tuple accumulator it replaced, and checks
+// that decoding happens once per code at snapshot build, never in Deliver.
+func TestCentroidModelDerivesFromCells(t *testing.T) {
+	dec := &countingDecoder{gridDecoder: gridDecoder{d: 3}}
+	cfg := Config{K: 16, Arms: 4, D: 3, Alpha: 1, Decoder: dec, Shards: 3}
+	s := New(cfg)
+	batches := randomBatches(9, 40, cfg.K, cfg.Arms, 21)
+	batches = append(batches, []transport.Tuple{
+		{Code: cfg.K, Action: 0, Reward: 1}, // dropped: code out of range
+		{Code: 3, Action: -1, Reward: 1},    // dropped: action out of range
+		{Code: 2, Action: 1, Reward: 7},     // reward clamped to 1
 	})
-	if dec.calls != 2 {
-		t.Fatalf("DecodeTo called %d times, want 2", dec.calls)
+	for _, b := range batches {
+		s.Deliver(b)
 	}
-	cent := s.CentroidSnapshot()
-	if cent == nil {
-		t.Fatal("centroid snapshot missing despite decoder")
+	if dec.calls != 0 {
+		t.Fatalf("Deliver decoded %d codes, want 0", dec.calls)
 	}
-	model, err := bandit.NewLinUCBFromState(cent, rng.New(1))
-	if err != nil {
+
+	got, _ := s.CentroidModel()
+	requireCentroidClose(t, got, centroidReference(dec.gridDecoder, cfg, batches...))
+	pulled := 0
+	tab := s.TabularSnapshot()
+	for code := 0; code < cfg.K; code++ {
+		for a := 0; a < cfg.Arms; a++ {
+			if tab.Count[code*cfg.Arms+a] != 0 {
+				pulled++
+				break
+			}
+		}
+	}
+	if dec.calls != pulled {
+		t.Fatalf("snapshot build decoded %d times, want once per pulled code (%d)", dec.calls, pulled)
+	}
+	if again, _ := s.CentroidModel(); again != got || dec.calls != pulled {
+		t.Fatalf("cached read rebuilt or decoded (%d calls, want %d)", dec.calls, pulled)
+	}
+
+	// Export → import reproduces the centroid model bit for bit.
+	imported := New(cfg)
+	if err := imported.ImportState(s.ExportState()); err != nil {
 		t.Fatal(err)
 	}
-	if model.Pulls(0) != 1 || model.Pulls(1) != 1 {
-		t.Fatalf("centroid model pulls = %d, %d; want 1, 1", model.Pulls(0), model.Pulls(1))
+	ic := imported.CentroidSnapshot()
+	compareLin(t, "centroid", got.AInv, ic.AInv, got.B, ic.B, got.N, ic.N)
+
+	// A peer contribution reaches the centroid model through the cells,
+	// even from a peer with no decoder.
+	peer := New(Config{K: cfg.K, Arms: cfg.Arms, D: cfg.D, Alpha: 1, Shards: 1})
+	peerBatches := randomBatches(5, 40, cfg.K, cfg.Arms, 22)
+	for _, b := range peerBatches {
+		peer.Deliver(b)
 	}
+	if ok, err := s.MergePeerState("analyzer-2", 1, 1, peer.ExportState()); !ok || err != nil {
+		t.Fatalf("MergePeerState = %v, %v", ok, err)
+	}
+	merged, _ := s.CentroidModel()
+	requireCentroidClose(t, merged, centroidReference(dec.gridDecoder, cfg, append(batches, peerBatches...)...))
 }
 
 // TestSnapshotCacheInvalidation verifies that snapshots are cached between
