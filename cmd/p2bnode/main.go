@@ -39,6 +39,7 @@
 //	                instead of a local server
 //	-role analyzer  full node that additionally expects relay traffic on
 //	                POST /peer/ingest and sibling state on POST /peer/merge
+//	                (binary P2BS peer updates, as GET /peer/contrib serves)
 //
 // Analyzers (and combined nodes) push their local model contribution to
 // every -peers URL whenever it changes — at once when idle, otherwise

@@ -867,7 +867,12 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	// MaxBytesReader is handed the ResponseWriter so an over-limit body
 	// also closes the connection server-side — without it the server would
 	// dutifully read and discard the rest of an oversized upload.
-	return decodeJSONBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("httpapi: bad request body: %w", err)
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

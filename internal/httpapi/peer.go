@@ -5,14 +5,15 @@
 //	                   stream, positioned by the X-P2b-Peer-* headers);
 //	                   delivered straight to the analyzer server — the
 //	                   relay already shuffled and thresholded it
-//	POST /peer/merge   one sibling analyzer's local-state export
-//	                   (topology.PeerUpdate JSON), stored per origin with
-//	                   replace-if-newer semantics
+//	POST /peer/merge   one sibling analyzer's local-state export (a
+//	                   topology.PeerUpdate in the binary P2BS encoding,
+//	                   application/x-p2b-state only), stored per origin
+//	                   with replace-if-newer semantics
 //	GET  /peer/digest  the per-origin (epoch, seq) high-water vector of
 //	                   every contribution this node can serve — its own
 //	                   live state plus stored sibling contributions — for
 //	                   the pull side of the digest round
-//	GET  /peer/contrib?origin=X  one contribution as a topology.PeerUpdate:
+//	GET  /peer/contrib?origin=X  one contribution, in the same encoding:
 //	                   this node's own (exported live, stamped with the
 //	                   local version captured before the export) or a
 //	                   stored third party's (served verbatim at its stored
@@ -29,7 +30,6 @@ package httpapi
 
 import (
 	"crypto/subtle"
-	"encoding/json"
 	"fmt"
 	"io"
 	"mime"
@@ -136,9 +136,7 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		ct, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
-		if err != nil || ct != transport.ContentTypeBinary {
-			http.Error(w, fmt.Sprintf("httpapi: peer batches are %s only", transport.ContentTypeBinary), http.StatusUnsupportedMediaType)
+		if !hasContentType(w, r, transport.ContentTypeBinary, "peer batches") {
 			return
 		}
 		// The whole batch is decoded before anything is applied: the
@@ -175,9 +173,11 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 			http.Error(w, "httpapi: peer token required", http.StatusUnauthorized)
 			return
 		}
-		var upd topology.PeerUpdate
-		body := http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
-		if err := decodeJSONBody(body, &upd); err != nil {
+		if !hasContentType(w, r, topology.ContentTypePeerState, "peer updates") {
+			return
+		}
+		upd, err := topology.ReadPeerUpdate(http.MaxBytesReader(w, r.Body, topology.MaxPeerUpdateBytes), r.ContentLength)
+		if err != nil {
 			writeBodyError(w, err)
 			return
 		}
@@ -228,12 +228,7 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 			// floor — the race with a concurrent ingest costs a redundant
 			// refetch next round, never a missed update.
 			version := srv.LocalVersion()
-			state := opts.Export()
-			// Relay duplicate-guard positions stay local, exactly as on
-			// the push path: the puller stores this as OUR contribution
-			// and must not inherit our dedup state.
-			state.Relays = nil
-			writeJSON(w, topology.PeerUpdate{Origin: origin, Epoch: opts.Epoch, Seq: version, State: state})
+			writePeerUpdate(w, topology.PeerUpdate{Origin: origin, Epoch: opts.Epoch, Seq: version, State: opts.Export()})
 			return
 		}
 		pos, state, ok := srv.PeerContribution(origin)
@@ -241,7 +236,7 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 			http.Error(w, fmt.Sprintf("httpapi: no stored contribution from origin %q", origin), http.StatusNotFound)
 			return
 		}
-		writeJSON(w, topology.PeerUpdate{Origin: origin, Epoch: pos.Epoch, Seq: pos.Seq, State: state})
+		writePeerUpdate(w, topology.PeerUpdate{Origin: origin, Epoch: pos.Epoch, Seq: pos.Seq, State: state})
 	}))
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, peers())
@@ -249,16 +244,29 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 	return mux
 }
 
-// decodeJSONBody strictly decodes one JSON value from a body the caller
-// already bounded (peer merges legitimately exceed the single-report
-// limit decodeJSON applies).
-func decodeJSONBody(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("httpapi: bad request body: %w", err)
+// hasContentType answers 415 unless the request body is of type want;
+// what names the payload in the error.
+func hasContentType(w http.ResponseWriter, r *http.Request, want, what string) bool {
+	if ct, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err != nil || ct != want {
+		http.Error(w, fmt.Sprintf("httpapi: %s are %s only", what, want), http.StatusUnsupportedMediaType)
+		return false
 	}
-	return nil
+	return true
+}
+
+// writePeerUpdate answers with one binary peer update. The relay guard is
+// never part of the encoding, so a puller cannot inherit this node's
+// dedup state.
+func writePeerUpdate(w http.ResponseWriter, u topology.PeerUpdate) {
+	blob, err := topology.AppendPeerUpdate(nil, u)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", topology.ContentTypePeerState)
+	// Declared, so the puller sizes its read buffer once (ReadPeerUpdate).
+	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
+	_, _ = w.Write(blob) // a failed write is the puller's read error
 }
 
 // RelayOptions is NodeOptions under its pre-unification name.

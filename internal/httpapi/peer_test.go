@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -149,11 +150,18 @@ func TestPeerIngestRejectsMalformedRequests(t *testing.T) {
 // postMerge sends one PeerUpdate and returns (status, ack.Applied).
 func postMerge(t *testing.T, url string, upd topology.PeerUpdate) (int, bool) {
 	t.Helper()
-	blob, err := json.Marshal(upd)
+	blob, err := topology.AppendPeerUpdate(nil, upd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/peer/merge", "application/json", bytes.NewReader(blob))
+	return postMergeBody(t, url, topology.ContentTypePeerState, blob)
+}
+
+// postMergeBody sends a raw /peer/merge body and returns (status,
+// ack.Applied).
+func postMergeBody(t *testing.T, url, contentType string, blob []byte) (int, bool) {
+	t.Helper()
+	resp, err := http.Post(url+"/peer/merge", contentType, bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +207,55 @@ func TestPeerMergeDoubleApplyRejectedOverWire(t *testing.T) {
 	misshapen := server.New(server.Config{K: 4, Arms: 4, D: 3, Alpha: 1}).ExportState()
 	if status, _ := postMerge(t, ts.URL, topology.PeerUpdate{Origin: "analyzer-3", Epoch: 1, Seq: 1, State: misshapen}); status != http.StatusBadRequest {
 		t.Fatalf("misshapen merge: status %d, want 400", status)
+	}
+
+	// The merge route speaks only the binary encoding: the JSON body an
+	// analyzer of an older version would push is 415, like a non-binary
+	// relay batch on /peer/ingest.
+	fresh := topology.PeerUpdate{Origin: "analyzer-4", Epoch: 1, Seq: 1, State: remote.ExportState()}
+	asJSON, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := postMergeBody(t, ts.URL, "application/json", asJSON); status != http.StatusUnsupportedMediaType {
+		t.Fatalf("JSON merge: status %d, want 415", status)
+	}
+
+	// Accumulators are finite by construction: NaN or ±Inf anywhere in the
+	// state is corruption, refused whichever float it lands in.
+	for name, poke := range map[string]func(ps *server.PersistedState, v float64){
+		"alpha":      func(ps *server.PersistedState, v float64) { ps.Alpha = v },
+		"cell count": func(ps *server.PersistedState, v float64) { ps.CellCount[5] = v },
+		"cell sum":   func(ps *server.PersistedState, v float64) { ps.CellSum[len(ps.CellSum)-1] = v },
+		"lin a":      func(ps *server.PersistedState, v float64) { ps.Lin.A[1][4] = v },
+		"lin b":      func(ps *server.PersistedState, v float64) { ps.Lin.B[3][2] = v },
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad := remote.ExportState()
+			poke(bad, v)
+			if status, _ := postMerge(t, ts.URL, topology.PeerUpdate{Origin: "analyzer-4", Epoch: 1, Seq: 1, State: bad}); status != http.StatusBadRequest {
+				t.Fatalf("%v in %s: status %d, want 400", v, name, status)
+			}
+		}
+	}
+
+	// Truncated and padded bodies are 400s too, and none of the refused
+	// bodies above left a contribution behind.
+	blob, err := topology.AppendPeerUpdate(nil, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := postMergeBody(t, ts.URL, topology.ContentTypePeerState, blob[:len(blob)-1]); status != http.StatusBadRequest {
+		t.Fatalf("truncated merge: status %d, want 400", status)
+	}
+	if status, _ := postMergeBody(t, ts.URL, topology.ContentTypePeerState, append(blob, 0)); status != http.StatusBadRequest {
+		t.Fatalf("merge with a trailing byte: status %d, want 400", status)
+	}
+	if _, _, ok := srv.PeerContribution("analyzer-4"); ok {
+		t.Fatal("a refused merge body was stored")
+	}
+	if status, applied := postMergeBody(t, ts.URL, topology.ContentTypePeerState, blob); status != http.StatusOK || !applied {
+		t.Fatalf("well-formed merge after the refusals: status %d applied %v", status, applied)
 	}
 }
 

@@ -380,7 +380,7 @@ func await(t *testing.T, limit time.Duration, what string, cond func() bool) {
 	}
 }
 
-// contribution is what holder has stored for origin, as pushed bytes.
+// contribution is what holder has stored for origin, as comparable JSON.
 func contribution(t *testing.T, holder *Node, origin string) string {
 	t.Helper()
 	_, state, ok := holder.Server().PeerContribution(origin)
@@ -390,8 +390,9 @@ func contribution(t *testing.T, holder *Node, origin string) string {
 	return exportJSON(t, state)
 }
 
-// localExport is what n's next push would carry: its local state with
-// the relay guards stripped, as pushed bytes.
+// localExport is what n's next push would carry: its local state without
+// the relay guards, which the peer encoding never carries, as comparable
+// JSON.
 func localExport(t *testing.T, n *Node) string {
 	t.Helper()
 	ps := n.Server().ExportState()

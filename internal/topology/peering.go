@@ -40,19 +40,21 @@ import (
 	"p2b/internal/server"
 )
 
-// PeerUpdate is the JSON body of POST /peer/merge: one analyzer's local
-// contribution to the fleet model.
+// PeerUpdate is one analyzer's local contribution to the fleet model: the
+// body of POST /peer/merge and of GET /peer/contrib, in the binary P2BS
+// encoding (AppendPeerUpdate, DecodePeerUpdate).
 type PeerUpdate struct {
 	// Origin names the sending analyzer's contribution stream.
-	Origin string `json:"origin"`
+	Origin string
 	// Epoch is the sender's boot nonce; sequence numbers reset with it.
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 	// Seq increases with every push within one epoch. A receiver holding
 	// (epoch, seq') with seq' >= seq ignores the update as stale.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// State is the sender's merged local accumulator export — the same
-	// additive sufficient statistics a checkpoint stores.
-	State *server.PersistedState `json:"state"`
+	// additive sufficient statistics a checkpoint stores, without the
+	// relay guard, which the encoding never carries.
+	State *server.PersistedState
 }
 
 // Digest is the body of GET /peer/digest: the per-origin (epoch, seq)
@@ -166,6 +168,7 @@ type Peering struct {
 	states map[string]*SyncStatus // keyed by peer URL
 	lastV  map[string]uint64      // local version last pushed per peer
 	pushed map[string]bool        // whether lastV entry is valid
+	enc    []byte                 // the push body, reused round after round
 
 	stop chan struct{}
 	done chan struct{}
@@ -318,42 +321,33 @@ func (p *Peering) Sync() {
 	if p.opts.LocalVersion != nil {
 		version = p.opts.LocalVersion()
 	}
-	var state *server.PersistedState
-	var seq uint64
+	// One encoded export serves every peer this round, made when the first
+	// stale peer is found.
+	var body []byte
+	var encErr error
 	for _, peer := range p.opts.Peers {
 		st := p.states[peer]
 		if p.opts.LocalVersion != nil && p.pushed[peer] && p.lastV[peer] == version {
 			st.Skipped++
 			continue
 		}
-		if state == nil {
-			// One export serves every peer this cycle; the receiving side
-			// keys staleness on (epoch, seq), so all peers sharing one seq
-			// is exactly right. The stamp is the local version captured
-			// ABOVE, before the export: the exported content is at least
-			// that version (a concurrent ingest can only add), so the
-			// receiver's stored position is a floor and the worst a race
-			// costs is one redundant re-push — never a missed update. The
-			// digest round's /peer/digest self entry reads the same
-			// counter, so pushed and pulled positions agree.
-			state = p.opts.Export()
-			// Local bookkeeping like relay duplicate-guard positions stays
-			// local: a peer stores this update as OUR contribution and must
-			// not inherit our dedup state.
-			state.Relays = nil
-			if p.opts.LocalVersion != nil {
-				seq = version
-			} else {
-				p.seq++
-				seq = p.seq
-			}
+		if body == nil && encErr == nil {
+			body, encErr = p.encode(version)
 		}
-		if err := p.push(peer, seq, state); err != nil {
+		err := encErr
+		if err == nil {
+			err = p.push(peer, body)
+		}
+		if err != nil {
 			st.Errors++
 			st.LastError = err.Error()
 			if p.opts.Logf != nil {
 				p.opts.Logf("topology: peer push to %s: %v", peer, err)
 			}
+			// A transport may still be reading a body it failed to send
+			// (net/http closes request bodies asynchronously), so the next
+			// round must not overwrite it.
+			p.enc = nil
 			continue
 		}
 		st.Pushes++
@@ -364,21 +358,39 @@ func (p *Peering) Sync() {
 	}
 }
 
-func (p *Peering) push(peer string, seq uint64, state *server.PersistedState) error {
-	blob, err := json.Marshal(PeerUpdate{
+// encode exports local state and encodes it as this round's push body.
+// The receiving side keys staleness on (epoch, seq), so all peers sharing
+// one seq is exactly right. The stamp is the local version captured
+// before the export: the exported content is at least that version (a
+// concurrent ingest can only add), so the receiver's stored position is a
+// floor and the worst a race costs is one redundant re-push — never a
+// missed update. The digest round's /peer/digest self entry reads the
+// same counter, so pushed and pulled positions agree.
+func (p *Peering) encode(version uint64) ([]byte, error) {
+	seq := version
+	if p.opts.LocalVersion == nil {
+		p.seq++
+		seq = p.seq
+	}
+	enc, err := AppendPeerUpdate(p.enc[:0], PeerUpdate{
 		Origin: p.opts.Origin,
 		Epoch:  p.opts.Epoch,
 		Seq:    seq,
-		State:  state,
+		State:  p.opts.Export(),
 	})
 	if err != nil {
-		return fmt.Errorf("topology: encoding peer update: %w", err)
+		return nil, fmt.Errorf("topology: encoding peer update: %w", err)
 	}
-	req, err := http.NewRequest(http.MethodPost, peer+"/peer/merge", bytes.NewReader(blob))
+	p.enc = enc
+	return enc, nil
+}
+
+func (p *Peering) push(peer string, body []byte) error {
+	req, err := http.NewRequest(http.MethodPost, peer+"/peer/merge", bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("topology: building merge request: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", ContentTypePeerState)
 	if p.opts.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+p.opts.Token)
 	}
@@ -464,33 +476,47 @@ func (p *Peering) DigestSync() {
 }
 
 // fetchContrib retrieves one origin's contribution from peer as the same
-// PeerUpdate shape a push carries, so Apply and the inbound merge route
-// share semantics exactly.
+// PeerUpdate a push carries, read through the bound the merge route
+// applies, so Apply and the inbound merge route share semantics exactly.
 func (p *Peering) fetchContrib(peer, origin string) (PeerUpdate, error) {
-	var upd PeerUpdate
-	err := p.getJSON(peer+"/peer/contrib?origin="+url.QueryEscape(origin), &upd)
-	return upd, err
+	resp, err := p.get(peer + "/peer/contrib?origin=" + url.QueryEscape(origin))
+	if err != nil {
+		return PeerUpdate{}, err
+	}
+	defer resp.Body.Close()
+	return ReadPeerUpdate(resp.Body, resp.ContentLength)
 }
 
 // getJSON is an authenticated GET + JSON decode against a peer route.
 func (p *Peering) getJSON(u string, v any) error {
+	resp, err := p.get(u)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// get is an authenticated GET against a peer route; anything but a 200 is
+// an error. The caller closes the body.
+func (p *Peering) get(u string) (*http.Response, error) {
 	req, err := http.NewRequest(http.MethodGet, u, nil)
 	if err != nil {
-		return fmt.Errorf("topology: building digest request: %w", err)
+		return nil, fmt.Errorf("topology: building peer request: %w", err)
 	}
 	if p.opts.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+p.opts.Token)
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%s: status %d: %s", u, resp.StatusCode, msg)
+		return nil, fmt.Errorf("%s: status %d: %s", u, resp.StatusCode, msg)
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return resp, nil
 }
 
 // Status returns the per-peer outbound sync status, sorted by target URL.

@@ -1,9 +1,10 @@
 package topology_test
 
 import (
-	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"p2b/internal/httpapi"
@@ -15,11 +16,11 @@ import (
 )
 
 // BenchmarkPeeringRound times one whole push round — export the sender's
-// local state, marshal the PeerUpdate, POST it over loopback to a real
+// local state, encode the PeerUpdate, POST it over loopback to a real
 // /peer/merge route, decode and MergePeerState there — at the shape the
 // fleet_relay benchmark runs and at p2bnode's default shape. ns/op is the
-// t in the peering loop's 19·t hold-off; body-B/op is what a binary state
-// codec would have to beat.
+// t in the peering loop's 19·t hold-off; body-B/op is the request body the
+// route received.
 func BenchmarkPeeringRound(b *testing.B) {
 	for _, shape := range []struct{ k, arms, d int }{{64, 8, 10}, {1024, 20, 10}} {
 		b.Run(fmt.Sprintf("k=%d/arms=%d/d=%d", shape.k, shape.arms, shape.d), func(b *testing.B) {
@@ -35,9 +36,14 @@ func BenchmarkPeeringRound(b *testing.B) {
 			sender.Deliver(batch)
 
 			shuf := shuffler.New(shuffler.Config{BatchSize: eqBatch, Threshold: eqThr}, receiver, rng.New(2))
-			ts := httptest.NewServer(httpapi.NewNodeHandlerOpts(shuf, receiver, httpapi.NodeOptions{
+			h := httpapi.NewNodeHandlerOpts(shuf, receiver, httpapi.NodeOptions{
 				Role: string(topology.RoleAnalyzer),
 				Peer: &httpapi.PeerOptions{Origin: "b1", Epoch: 1, Export: receiver.ExportState},
+			})
+			var body atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				body.Store(r.ContentLength)
+				h.ServeHTTP(w, r)
 			}))
 			defer ts.Close()
 			// No LocalVersion: every Sync pushes, under a private counter.
@@ -47,18 +53,12 @@ func BenchmarkPeeringRound(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			state := sender.ExportState()
-			state.Relays = nil
-			body, err := json.Marshal(topology.PeerUpdate{Origin: "a1", Epoch: 1, Seq: 1, State: state})
-			if err != nil {
-				b.Fatal(err)
-			}
 
 			b.ReportAllocs()
 			for b.Loop() {
 				p.Sync()
 			}
-			b.ReportMetric(float64(len(body)), "body-B/op")
+			b.ReportMetric(float64(body.Load()), "body-B/op")
 			if st := p.Status()[0]; st.Errors != 0 || st.Pushes != int64(b.N) {
 				b.Fatalf("sync status after %d rounds = %+v", b.N, st)
 			}

@@ -16,15 +16,14 @@
 // The version is the server's monotonic model version at snapshot time; it
 // doubles as the ETag value of the HTTP route, so a fleet polling an
 // unchanged model costs 304s, not payloads. Unlike the batch stream, a
-// model stream is a single bounded message, so the decoder works on a fully
-// read body rather than a frame reader.
+// model stream is a single bounded message, so the decoder walks a fully
+// read body with a Reader (reader.go) rather than a frame reader.
 package transport
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"p2b/internal/bandit"
 )
@@ -51,10 +50,6 @@ const maxModelCells = 1 << 24
 // ErrBadModelMagic reports a model stream that does not open with ModelMagic.
 var ErrBadModelMagic = errors.New(`transport: model stream does not start with magic "P2BM"`)
 
-func appendFloat64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
 // AppendTabularModel appends the binary encoding of a versioned tabular
 // snapshot to dst and returns the extended slice.
 func AppendTabularModel(dst []byte, version uint64, st *bandit.TabularState) []byte {
@@ -63,14 +58,9 @@ func AppendTabularModel(dst []byte, version uint64, st *bandit.TabularState) []b
 	dst = append(dst, modelKindTabular)
 	dst = binary.AppendUvarint(dst, uint64(st.K))
 	dst = binary.AppendUvarint(dst, uint64(st.Arms))
-	dst = appendFloat64(dst, st.Alpha)
-	for _, v := range st.Count {
-		dst = appendFloat64(dst, v)
-	}
-	for _, v := range st.Sum {
-		dst = appendFloat64(dst, v)
-	}
-	return dst
+	dst = AppendFloat64s(dst, st.Alpha)
+	dst = AppendFloat64s(dst, st.Count...)
+	return AppendFloat64s(dst, st.Sum...)
 }
 
 // AppendLinearModel appends the binary encoding of a versioned LinUCB
@@ -81,14 +71,10 @@ func AppendLinearModel(dst []byte, version uint64, st *bandit.LinUCBState) []byt
 	dst = append(dst, modelKindLinear)
 	dst = binary.AppendUvarint(dst, uint64(st.D))
 	dst = binary.AppendUvarint(dst, uint64(st.Arms))
-	dst = appendFloat64(dst, st.Alpha)
+	dst = AppendFloat64s(dst, st.Alpha)
 	for a := 0; a < st.Arms; a++ {
-		for _, v := range st.AInv[a] {
-			dst = appendFloat64(dst, v)
-		}
-		for _, v := range st.B[a] {
-			dst = appendFloat64(dst, v)
-		}
+		dst = AppendFloat64s(dst, st.AInv[a]...)
+		dst = AppendFloat64s(dst, st.B[a]...)
 		var n int64
 		if a < len(st.N) {
 			n = st.N[a]
@@ -98,72 +84,44 @@ func AppendLinearModel(dst []byte, version uint64, st *bandit.LinUCBState) []byt
 	return dst
 }
 
-// modelReader walks a fully read model stream.
-type modelReader struct {
-	data []byte
-	at   int
-}
-
-func (mr *modelReader) uvarint(what string) (uint64, error) {
-	v, w := binary.Uvarint(mr.data[mr.at:])
-	if w <= 0 {
-		return 0, fmt.Errorf("transport: model stream: malformed %s", what)
-	}
-	mr.at += w
-	return v, nil
-}
-
-func (mr *modelReader) float64s(dst []float64, what string) error {
-	need := 8 * len(dst)
-	if len(mr.data)-mr.at < need {
-		return fmt.Errorf("transport: model stream: truncated %s", what)
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(mr.data[mr.at:]))
-		mr.at += 8
-	}
-	return nil
-}
-
 // DecodeModel parses one binary model stream. Exactly one of the returned
 // states is non-nil, matching the stream's kind tag.
 func DecodeModel(data []byte) (version uint64, tab *bandit.TabularState, lin *bandit.LinUCBState, err error) {
 	if len(data) < len(ModelMagic) || string(data[:len(ModelMagic)]) != ModelMagic {
 		return 0, nil, nil, ErrBadModelMagic
 	}
-	mr := &modelReader{data: data, at: len(ModelMagic)}
-	version, err = mr.uvarint("version")
+	mr := NewReader(data[len(ModelMagic):], "transport: model stream")
+	version, err = mr.Uvarint("version")
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if mr.at >= len(data) {
-		return 0, nil, nil, errors.New("transport: model stream: missing kind tag")
+	kind, err := mr.Byte("kind tag")
+	if err != nil {
+		return 0, nil, nil, err
 	}
-	kind := data[mr.at]
-	mr.at++
 	switch kind {
 	case modelKindTabular:
-		tab, err = mr.tabular()
+		tab, err = decodeTabular(&mr)
 	case modelKindLinear:
-		lin, err = mr.linear()
+		lin, err = decodeLinear(&mr)
 	default:
 		return 0, nil, nil, fmt.Errorf("transport: model stream: unknown kind %d", kind)
 	}
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if mr.at != len(data) {
-		return 0, nil, nil, fmt.Errorf("transport: model stream: %d trailing bytes", len(data)-mr.at)
+	if err := mr.Done(); err != nil {
+		return 0, nil, nil, err
 	}
 	return version, tab, lin, nil
 }
 
-func (mr *modelReader) tabular() (*bandit.TabularState, error) {
-	k, err := mr.uvarint("k")
+func decodeTabular(mr *Reader) (*bandit.TabularState, error) {
+	k, err := mr.Uvarint("k")
 	if err != nil {
 		return nil, err
 	}
-	arms, err := mr.uvarint("arms")
+	arms, err := mr.Uvarint("arms")
 	if err != nil {
 		return nil, err
 	}
@@ -173,6 +131,11 @@ func (mr *modelReader) tabular() (*bandit.TabularState, error) {
 	if k == 0 || arms == 0 || k > maxModelCells || arms > maxModelCells || k > maxModelCells/arms {
 		return nil, fmt.Errorf("transport: model stream: implausible tabular shape k=%d arms=%d", k, arms)
 	}
+	// A plausible shape still must not size the cells on the header's
+	// word: the body has to be there before anything is allocated for it.
+	if err := mr.Need("tabular body", 8, 1+2*k*arms); err != nil {
+		return nil, err
+	}
 	st := &bandit.TabularState{
 		K:     int(k),
 		Arms:  int(arms),
@@ -180,25 +143,25 @@ func (mr *modelReader) tabular() (*bandit.TabularState, error) {
 		Sum:   make([]float64, k*arms),
 	}
 	var alpha [1]float64
-	if err := mr.float64s(alpha[:], "alpha"); err != nil {
+	if err := mr.Float64s(alpha[:], "alpha"); err != nil {
 		return nil, err
 	}
 	st.Alpha = alpha[0]
-	if err := mr.float64s(st.Count, "counts"); err != nil {
+	if err := mr.Float64s(st.Count, "counts"); err != nil {
 		return nil, err
 	}
-	if err := mr.float64s(st.Sum, "sums"); err != nil {
+	if err := mr.Float64s(st.Sum, "sums"); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-func (mr *modelReader) linear() (*bandit.LinUCBState, error) {
-	d, err := mr.uvarint("d")
+func decodeLinear(mr *Reader) (*bandit.LinUCBState, error) {
+	d, err := mr.Uvarint("d")
 	if err != nil {
 		return nil, err
 	}
-	arms, err := mr.uvarint("arms")
+	arms, err := mr.Uvarint("arms")
 	if err != nil {
 		return nil, err
 	}
@@ -208,38 +171,38 @@ func (mr *modelReader) linear() (*bandit.LinUCBState, error) {
 	if d == 0 || arms == 0 || d > maxModelCells || arms > maxModelCells {
 		return nil, fmt.Errorf("transport: model stream: implausible linear shape d=%d arms=%d", d, arms)
 	}
-	if cells := d*d + d; cells > maxModelCells || arms > maxModelCells/cells {
+	cells := d*d + d
+	if cells > maxModelCells || arms > maxModelCells/cells {
 		return nil, fmt.Errorf("transport: model stream: implausible linear shape d=%d arms=%d", d, arms)
 	}
-	st := &bandit.LinUCBState{
-		D:    int(d),
-		Arms: int(arms),
-		AInv: make([][]float64, arms),
-		B:    make([][]float64, arms),
-		N:    make([]int64, arms),
-	}
 	var alpha [1]float64
-	if err := mr.float64s(alpha[:], "alpha"); err != nil {
+	if err := mr.Float64s(alpha[:], "alpha"); err != nil {
 		return nil, err
 	}
-	st.Alpha = alpha[0]
+	// Every arm is at least its cells plus a one-byte pull count.
+	if err := mr.Need("linear body", 8*cells+1, arms); err != nil {
+		return nil, err
+	}
+	st := &bandit.LinUCBState{
+		Alpha: alpha[0],
+		D:     int(d),
+		Arms:  int(arms),
+		AInv:  make([][]float64, arms),
+		B:     make([][]float64, arms),
+		N:     make([]int64, arms),
+	}
 	for a := 0; a < int(arms); a++ {
 		st.AInv[a] = make([]float64, d*d)
-		if err := mr.float64s(st.AInv[a], "a_inv"); err != nil {
+		if err := mr.Float64s(st.AInv[a], "a_inv"); err != nil {
 			return nil, err
 		}
 		st.B[a] = make([]float64, d)
-		if err := mr.float64s(st.B[a], "b"); err != nil {
+		if err := mr.Float64s(st.B[a], "b"); err != nil {
 			return nil, err
 		}
-		n, err := mr.uvarint("n")
-		if err != nil {
+		if st.N[a], err = mr.Int64("pull count"); err != nil {
 			return nil, err
 		}
-		if n > math.MaxInt64 {
-			return nil, fmt.Errorf("transport: model stream: arm %d pull count overflows int64", a)
-		}
-		st.N[a] = int64(n)
 	}
 	return st, nil
 }

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -110,12 +112,16 @@ func TestModelDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// modelHeader is a stream of version 0 that stops right after its two
+// shape uvarints.
+func modelHeader(kind byte, a, b uint64) []byte {
+	blob := append([]byte(ModelMagic), 0x00, kind)
+	blob = appendUvarintForTest(blob, a)
+	return appendUvarintForTest(blob, b)
+}
+
 func TestModelDecodeRejectsImplausibleShapes(t *testing.T) {
-	header := func(kind byte, a, b uint64) []byte {
-		blob := append([]byte(ModelMagic), 0x00, kind)
-		blob = appendUvarintForTest(blob, a)
-		return appendUvarintForTest(blob, b)
-	}
+	header := modelHeader
 	cases := map[string][]byte{
 		"giant k":                 header(modelKindTabular, 1<<40, 100),
 		"giant arms":              header(modelKindTabular, 4, 1<<40),
@@ -139,6 +145,67 @@ func TestModelDecodeRejectsImplausibleShapes(t *testing.T) {
 			t.Fatalf("%s accepted", name)
 		}
 	}
+}
+
+// allocated returns the heap bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A plausible shape is still only a claim: the cells it announces must not
+// be allocated before the bytes behind them arrive. Both headers decoded
+// into hundreds of megabytes before the decoder checked the length.
+func TestModelDecodeAllocatesNothingForAHeaderAlone(t *testing.T) {
+	for name, blob := range map[string][]byte{
+		"tabular k=arms=2^12":  modelHeader(modelKindTabular, 1<<12, 1<<12), // 2·2^24 cells, 268 MB
+		"linear d=1 arms=2^23": modelHeader(modelKindLinear, 1, 1<<23),      // 3·2^23 slices, 470 MB
+	} {
+		var err error
+		grew := allocated(func() { _, _, _, err = DecodeModel(blob) })
+		if err == nil {
+			t.Errorf("%s (%d bytes) accepted", name, len(blob))
+		}
+		if grew >= 64<<10 {
+			t.Errorf("%s (%d bytes) allocated %d bytes before failing", name, len(blob), grew)
+		}
+	}
+}
+
+// FuzzDecodeModel checks what every decoder of untrusted bytes owes: it
+// never panics, it allocates at most a constant multiple of its input, and
+// what it accepts re-encodes to the same bytes, so no value is rounded and
+// no stream has two readings.
+func FuzzDecodeModel(f *testing.F) {
+	f.Add(AppendTabularModel(nil, 3, sampleTabular()))
+	f.Add(AppendLinearModel(nil, 7, sampleLinear()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			version uint64
+			tab     *bandit.TabularState
+			lin     *bandit.LinUCBState
+			err     error
+		)
+		grew := allocated(func() { version, tab, lin, err = DecodeModel(data) })
+		if limit := 64<<10 + 8*uint64(len(data)); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		var again []byte
+		if tab != nil {
+			again = AppendTabularModel(nil, version, tab)
+		} else {
+			again = AppendLinearModel(nil, version, lin)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted stream re-encodes differently:\n in %x\nout %x", data, again)
+		}
+	})
 }
 
 func appendUvarintForTest(dst []byte, v uint64) []byte {
