@@ -34,7 +34,8 @@
 // policies. Each report window gives one independent Bernoulli(P) chance to
 // disclose a single encoded (code, action, reward) tuple; everything else
 // stays on the device. PolicyLinUCB with a RawReporter transport is the
-// paper's non-private baseline and offers no privacy.
+// paper's non-private baseline and offers no privacy; only the in-process
+// Loopback carries it.
 package agent
 
 import (
@@ -151,7 +152,9 @@ type Transport interface {
 // RawReporter is the optional transport capability of the non-private
 // baseline: shipping unencoded observations straight to the server. A
 // PolicyLinUCB agent with a participation probability needs its Transport
-// to implement it.
+// to implement it. Only Loopback does: no node route accepts raw
+// contexts, because everything a node learns has passed a shuffler, so
+// the baseline runs in process.
 type RawReporter interface {
 	ReportRaw(t RawTuple) error
 }

@@ -194,12 +194,6 @@ func (f *FailoverTransport) Report(e Envelope) error {
 	return tr.Report(e)
 }
 
-// ReportRaw submits one unencoded observation to the current target.
-func (f *FailoverTransport) ReportRaw(rt RawTuple) error {
-	tr, _ := f.current()
-	return tr.ReportRaw(rt)
-}
-
 // Flush settles the current target's client-side batching.
 func (f *FailoverTransport) Flush() error {
 	tr, _ := f.current()
@@ -233,7 +227,4 @@ func (f *FailoverTransport) Status() FailoverStatus {
 	return f.st
 }
 
-var _ interface {
-	Transport
-	RawReporter
-} = (*FailoverTransport)(nil)
+var _ Transport = (*FailoverTransport)(nil)

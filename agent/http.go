@@ -144,8 +144,7 @@ type pendingBatch struct {
 
 // HTTPTransport ships agent reports to the p2bnode at one base URL as
 // batched binary POSTs — one transport instance serves a whole fleet of
-// agents. It also implements RawReporter for the non-private baseline. All
-// methods are safe for concurrent use.
+// agents. All methods are safe for concurrent use.
 type HTTPTransport struct {
 	url  string // node base URL
 	opts HTTPTransportOptions
@@ -401,48 +400,26 @@ func (t *HTTPTransport) send(pb pendingBatch) error {
 	return lastErr
 }
 
-// postJSON posts v (nil = empty body) to one of the node's JSON routes and
-// expects wantStatus. These are the SDK's rare, unbatched calls — baseline
-// ingestion and the end-of-round flush — so they bypass retry and breaker.
-func (t *HTTPTransport) postJSON(path string, v any, wantStatus int) error {
-	var body io.Reader
-	if v != nil {
-		blob, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("agent: marshal: %w", err)
-		}
-		body = bytes.NewReader(blob)
+// FlushNode asks the node's shuffler to push its pending privacy batch
+// through thresholding — an end-of-round operation, not part of the normal
+// reporting path, so its bodiless POST bypasses retry and breaker.
+func (t *HTTPTransport) FlushNode() error {
+	if err := t.Flush(); err != nil {
+		return err
 	}
-	req, err := http.NewRequest(http.MethodPost, t.url+path, body)
+	req, err := http.NewRequest(http.MethodPost, t.url+"/shuffler/flush", nil)
 	if err != nil {
 		return fmt.Errorf("agent: building request: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := roundTrip(t.opts.HTTPClient, nil, req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != wantStatus {
+	if resp.StatusCode != http.StatusNoContent {
 		return statusError(req, resp)
 	}
 	return nil
-}
-
-// ReportRaw submits one unencoded observation to the server's baseline
-// ingestion route.
-func (t *HTTPTransport) ReportRaw(rt RawTuple) error {
-	return t.postJSON("/server/raw", rt, http.StatusAccepted)
-}
-
-// FlushNode asks the node's shuffler to push its pending privacy batch
-// through thresholding — an end-of-round operation, not part of the normal
-// reporting path.
-func (t *HTTPTransport) FlushNode() error {
-	if err := t.Flush(); err != nil {
-		return err
-	}
-	return t.postJSON("/shuffler/flush", nil, http.StatusNoContent)
 }
 
 // Health is a node's decoded /healthz response.
@@ -482,7 +459,4 @@ var _ interface {
 	ModelSource
 } = (*Loopback)(nil)
 
-var _ interface {
-	Transport
-	RawReporter
-} = (*HTTPTransport)(nil)
+var _ Transport = (*HTTPTransport)(nil)

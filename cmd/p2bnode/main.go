@@ -18,7 +18,6 @@
 //	                        poll of an unchanged model costs a 304; the
 //	                        body is binary (Accept: application/x-p2b-model)
 //	                        or JSON; ?kind=tabular|linucb
-//	POST /server/raw        (non-private baseline ingestion)
 //	GET  /server/stats
 //	GET  /healthz           liveness + persistence status
 //	GET  /metrics           Prometheus text exposition: per-route request
@@ -225,8 +224,8 @@ func main() {
 	}
 
 	sst, shst := n.Server().Stats(), n.Shuffler().Stats()
-	log.Printf("p2bnode: final state: %d tuples ingested, %d raw, %d batches shuffled (%d forwarded, %d thresholded)",
-		sst.TuplesIngested, sst.RawIngested, shst.Batches, shst.Forwarded, shst.Dropped)
+	log.Printf("p2bnode: final state: %d tuples ingested, %d batches shuffled (%d forwarded, %d thresholded)",
+		sst.TuplesIngested, shst.Batches, shst.Forwarded, shst.Dropped)
 	if fwd := n.Forwarder(); fwd != nil {
 		fst := fwd.Stats()
 		log.Printf("p2bnode: forwarded downstream: %d batches (%d tuples), %d duplicates, %d retries, %d dropped",

@@ -12,7 +12,6 @@
 //	                                ?kind=tabular|linucb; served
 //	                                from cached encoded payloads, one
 //	                                build per model version)
-//	           POST /raw            one transport.RawTuple (baseline path)
 //	           GET  /stats          server.Stats + model_reads counters
 //	node:      GET  /healthz            liveness + model shapes + read-path
 //	                                    counters + persistence status
@@ -139,9 +138,8 @@ type NodeOptions struct {
 	// Empty means "combined", the single-process default.
 	Role string
 	// Peer, when non-nil on a node with a server, mounts the analyzer-side
-	// peer routes (/peer/ingest, /peer/merge, /peer/digest, /peer/contrib,
-	// /peer/status) and adds the "peers" section to /healthz and
-	// /server/stats.
+	// peer routes (/peer/ingest, /peer/merge, /peer/digest, /peer/contrib)
+	// and adds the "peers" section to /healthz and /server/stats.
 	Peer *PeerOptions
 	// Forward, when non-nil, is the forwarder wired as the shuffler's sink:
 	// /healthz gains the "downstream" and "forward" sections and /metrics
@@ -214,13 +212,12 @@ func NewNodeHandlerOpts(shuf *shuffler.Shuffler, srv *server.Server, opts NodeOp
 	var sh *serverHandler
 	if srv != nil {
 		sh = newServerHandler(srv)
-		sh.adm = opts.Admission
 		sh.overload = overload
 		sh.role = role
 		if opts.Peer != nil {
 			// peers snapshots the one replication view every surface
-			// (/healthz, /server/stats, /peer/status, and — through the
-			// same underlying atomics — /metrics) reports.
+			// (/healthz, /server/stats and — through the same underlying
+			// atomics — /metrics) reports.
 			sh.peers = func() *PeerHealth {
 				ph := &PeerHealth{PeerStatus: srv.PeerStatus()}
 				if opts.Peer.Sync != nil {
@@ -241,7 +238,7 @@ func NewNodeHandlerOpts(shuf *shuffler.Shuffler, srv *server.Server, opts NodeOp
 		sh.nm = nm
 		mux.Handle("/server/", http.StripPrefix("/server", sh.routes()))
 		if sh.peers != nil {
-			mux.Handle("/peer/", http.StripPrefix("/peer", newPeerHandler(srv, opts.Peer, opts.Admission, nm, sh.peers)))
+			mux.Handle("/peer/", http.StripPrefix("/peer", newPeerHandler(srv, opts.Peer, opts.Admission, nm)))
 		}
 	}
 	mux.HandleFunc("GET /healthz", nm.wrap("healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -435,12 +432,10 @@ type serverHandler struct {
 	payloadBuilds atomic.Int64
 	notModified   atomic.Int64
 
-	// Node-level overload wiring (nil on a standalone server handler):
-	// adm bounds POST /raw like the shuffler ingest routes, overload
+	// Node-level wiring (nil on a standalone server handler): overload
 	// contributes the overload section to GET /stats, nm instruments the
-	// model and raw routes. role and peers extend GET /stats with the
-	// node's fleet role and replication status.
-	adm      *Admission
+	// model route. role and peers extend GET /stats with the node's fleet
+	// role and replication status.
 	overload func() OverloadStats
 	nm       *nodeMetrics
 	role     string
@@ -466,18 +461,6 @@ func (h *serverHandler) ReadStats() ModelReadStats {
 func (h *serverHandler) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /model", h.nm.wrap("model", h.serveModel))
-	mux.HandleFunc("POST /raw", h.nm.wrap("raw", h.adm.guard(func(w http.ResponseWriter, r *http.Request) {
-		var t transport.RawTuple
-		if err := decodeJSON(w, r, &t); err != nil {
-			writeBodyError(w, err)
-			return
-		}
-		if err := h.s.IngestRaw(t); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-	})))
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		p := serverStatsPayload{Stats: h.s.Stats(), Role: h.role, ModelReads: h.ReadStats()}
 		if h.overload != nil {
@@ -495,7 +478,7 @@ func (h *serverHandler) routes() http.Handler {
 // serverStatsPayload is the GET /server/stats response: the ingestion
 // counters extended with the node role, the read-path health counters
 // and, on a bounded node, the overload counters. Peers is the same
-// replication view /healthz and /peer/status serve.
+// replication view /healthz serves.
 type serverStatsPayload struct {
 	server.Stats
 	Role       string         `json:"role,omitempty"`

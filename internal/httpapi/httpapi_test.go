@@ -14,6 +14,7 @@ import (
 	"p2b/internal/rng"
 	"p2b/internal/server"
 	"p2b/internal/shuffler"
+	"p2b/internal/topology"
 	"p2b/internal/transport"
 )
 
@@ -48,9 +49,6 @@ func (c *testClient) Report(e transport.Envelope) error {
 	return c.post(c.ShufflerURL+"/report", e, http.StatusAccepted)
 }
 func (c *testClient) Flush() error { return c.post(c.ShufflerURL+"/flush", nil, http.StatusNoContent) }
-func (c *testClient) SendRaw(t transport.RawTuple) error {
-	return c.post(c.ServerURL+"/raw", t, http.StatusAccepted)
-}
 
 // fetchedModel is one decoded GET /server/model response.
 type fetchedModel struct {
@@ -185,27 +183,30 @@ func TestFetchLinUCBModel(t *testing.T) {
 	}
 }
 
+// No node route writes to the model around the shuffler, and the
+// replication view lives on /healthz and /metrics: the retired raw
+// baseline route and /peer/status answer 404 on every role.
 func TestSendRaw(t *testing.T) {
-	client, srv, _, cleanup := newStack(t, 0)
-	defer cleanup()
-	err := client.SendRaw(transport.RawTuple{Context: []float64{0.2, 0.3, 0.5}, Action: 1, Reward: 1})
-	if err != nil {
-		t.Fatal(err)
+	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1})
+	shuf := shuffler.New(shuffler.Config{BatchSize: 4}, srv, rng.New(2))
+	for role, h := range map[string]http.Handler{
+		"combined": NewNodeHandlerOpts(shuf, srv, NodeOptions{Peer: &PeerOptions{Origin: "c1"}}),
+		"analyzer": NewNodeHandlerOpts(shuf, srv, NodeOptions{Role: string(topology.RoleAnalyzer), Peer: &PeerOptions{Origin: "a1"}}),
+		"relay":    NewNodeHandlerOpts(shuf, nil, NodeOptions{Role: string(topology.RoleRelay)}),
+	} {
+		for _, req := range []*http.Request{
+			httptest.NewRequest(http.MethodPost, "/server/raw", strings.NewReader(`{"context":[0.2,0.3,0.5],"action":1,"reward":1}`)),
+			httptest.NewRequest(http.MethodGet, "/peer/status", nil),
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("%s: %s %s = %d, want 404", role, req.Method, req.URL.Path, rec.Code)
+			}
+		}
 	}
-	if st := srv.Stats(); st.RawIngested != 1 {
-		t.Fatalf("raw ingested %d", st.RawIngested)
-	}
-}
-
-func TestSendRawRejectsBadTuple(t *testing.T) {
-	client, _, _, cleanup := newStack(t, 0)
-	defer cleanup()
-	err := client.SendRaw(transport.RawTuple{Context: []float64{0.5}, Action: 1, Reward: 1})
-	if err == nil {
-		t.Fatal("bad raw tuple accepted")
-	}
-	if !strings.Contains(err.Error(), "400") {
-		t.Fatalf("expected 400 in error, got %v", err)
+	if st := srv.Stats(); st.RawIngested != 0 {
+		t.Fatalf("raw ingested %d, want 0", st.RawIngested)
 	}
 }
 

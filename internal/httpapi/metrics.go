@@ -74,7 +74,6 @@ var instrumentedRoutes = []struct {
 	{"reports", true},
 	{"flush", false},
 	{"model", false},
-	{"raw", true},
 	{"healthz", false},
 	{"peer_ingest", true},
 	{"peer_merge", true},
@@ -213,13 +212,10 @@ func newNodeMetrics(reg *metrics.Registry, shuf *shuffler.Shuffler, sh *serverHa
 	// scrape never serializes against Deliver.
 	reg.CounterFunc("p2b_server_tuples_delivered_total", "",
 		"Tuples folded into the global model through the privacy pipeline.",
-		func() float64 { d, _, _ := srv.IngestCounters(); return float64(d) })
-	reg.CounterFunc("p2b_server_raw_ingested_total", "",
-		"Raw baseline tuples folded into the LinUCB model.",
-		func() float64 { _, r, _ := srv.IngestCounters(); return float64(r) })
+		func() float64 { d, _ := srv.IngestCounters(); return float64(d) })
 	reg.CounterFunc("p2b_server_shard_contention_total", "",
 		"Ingestion calls displaced from their affinity shard by lock contention.",
-		func() float64 { _, _, c := srv.IngestCounters(); return float64(c) })
+		func() float64 { _, c := srv.IngestCounters(); return float64(c) })
 	reg.GaugeFunc("p2b_model_version", "",
 		"Monotonic model version (increases on every ingestion).",
 		func() float64 { return float64(srv.ModelVersion()) })

@@ -18,7 +18,6 @@
 //	                   local version captured before the export) or a
 //	                   stored third party's (served verbatim at its stored
 //	                   position, which is what makes healing transitive)
-//	GET  /peer/status  replication counters and per-origin positions
 //
 // Both POST routes answer 200 with a topology.PeerAck naming whether the
 // payload changed state; a duplicate or stale payload acks applied=false,
@@ -75,8 +74,8 @@ type PeerOptions struct {
 	Export func() *server.PersistedState
 }
 
-// PeerHealth is the "peers" section of /healthz, /server/stats and the
-// GET /peer/status body: the server's replication counters plus the
+// PeerHealth is the "peers" section of /healthz and /server/stats: the
+// server's replication counters and per-origin positions plus the
 // outbound sync status. The counters are the same atomics the /metrics
 // peer collectors sample.
 type PeerHealth struct {
@@ -117,8 +116,8 @@ func (o *PeerOptions) peerPosition(r *http.Request) (origin string, epoch, seq u
 // batches and merges land in; adm bounds the two POST routes exactly like
 // the agent ingest routes (relay and peer traffic competes for the same
 // admission budget — the node's memory does not care who sent the bytes);
-// nm instruments them; peers builds the status payload.
-func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *nodeMetrics, peers func() *PeerHealth) http.Handler {
+// nm instruments them.
+func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *nodeMetrics) http.Handler {
 	deliver := opts.Deliver
 	if deliver == nil {
 		deliver = func(origin string, epoch, seq uint64, tuples []transport.Tuple) (bool, error) {
@@ -238,9 +237,6 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 		}
 		writePeerUpdate(w, topology.PeerUpdate{Origin: origin, Epoch: pos.Epoch, Seq: pos.Seq, State: state})
 	}))
-	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, peers())
-	})
 	return mux
 }
 

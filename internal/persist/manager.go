@@ -95,7 +95,6 @@ type Manager struct {
 
 	mu       sync.Mutex // serializes ingestion and checkpointing
 	ckptSeq  uint64     // WAL position of the last written checkpoint
-	ckptRaw  int64      // server raw-tuple count at the last checkpoint
 	hasCkpt  bool       // a checkpoint has been written or loaded
 	recovery RecoveryInfo
 
@@ -146,7 +145,6 @@ func Open(dir string, shuf *shuffler.Shuffler, srv *server.Server, opts Options)
 			return nil, fmt.Errorf("persist: restoring shuffler state: %w", err)
 		}
 		m.ckptSeq = ckpt.WALSeq
-		m.ckptRaw = ckpt.Server.Raw
 		m.hasCkpt = true
 		m.recovery.CheckpointSeq = ckpt.WALSeq
 		if ckpt.Relay != nil && opts.Cursor != nil {
@@ -332,12 +330,12 @@ func (m *Manager) Checkpoint() error {
 		return err
 	}
 	seq := m.wal.LastSeq()
-	// Nothing to capture: no WAL movement and no raw-baseline ingestion
-	// (the one state change that bypasses the log) since the last
-	// checkpoint. Skipping avoids rewriting a multi-megabyte checkpoint
-	// every interval tick on an idle node. (The snapshots-served counter
-	// may drift; that is bookkeeping, not model state.)
-	if m.hasCkpt && seq == m.ckptSeq && m.srv.Stats().RawIngested == m.ckptRaw {
+	// Nothing to capture: every input that changes checkpointed state is
+	// logged before it is applied, so an unmoved log means nothing changed
+	// since the last checkpoint. Skipping avoids rewriting a multi-megabyte
+	// checkpoint every interval tick on an idle node. (The snapshots-served
+	// counter may drift; that is bookkeeping, not model state.)
+	if m.hasCkpt && seq == m.ckptSeq {
 		return nil
 	}
 	start := m.appendStart()
@@ -368,7 +366,6 @@ func (m *Manager) Checkpoint() error {
 		return err
 	}
 	m.ckptSeq = seq
-	m.ckptRaw = ckpt.Server.Raw
 	m.hasCkpt = true
 	if err := m.wal.Rotate(); err != nil {
 		return err

@@ -333,8 +333,8 @@ func TestRecoverRefusesCheckpointAheadOfLog(t *testing.T) {
 	}
 }
 
-// An idle checkpoint tick must not rewrite the checkpoint: same WAL
-// position, no raw-baseline ingestion — nothing changed.
+// An idle checkpoint tick must not rewrite the checkpoint: every input a
+// node accepts is logged first, so an unmoved WAL means nothing changed.
 func TestCheckpointSkipsWhenIdle(t *testing.T) {
 	dir := t.TempDir()
 	shuf, srv := newNode()
@@ -360,16 +360,14 @@ func TestCheckpointSkipsWhenIdle(t *testing.T) {
 	if !after.ModTime().Equal(before.ModTime()) {
 		t.Fatal("idle checkpoint rewrote the checkpoint file")
 	}
-	// Raw-baseline ingestion bypasses the WAL, so it must defeat the skip.
-	if err := srv.IngestRaw(transport.RawTuple{Context: []float64{0.1, 0.2, 0.3}, Action: 0, Reward: 1}); err != nil {
-		t.Fatal(err)
-	}
+	// One logged op is enough to defeat the skip.
+	applyOps(t, m, opStream(1, 4))
 	time.Sleep(5 * time.Millisecond)
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	after2, _ := os.Stat(path)
 	if after2.ModTime().Equal(before.ModTime()) {
-		t.Fatal("raw ingestion did not trigger a new checkpoint")
+		t.Fatal("a logged op did not trigger a new checkpoint")
 	}
 }

@@ -178,6 +178,16 @@ type segmentInfo struct {
 	start uint64 // first seq the segment can hold
 }
 
+// read returns the whole segment: scans hold one segment in memory at a
+// time, which maxSegmentBytes bounds.
+func (s segmentInfo) read() ([]byte, error) {
+	data, err := os.ReadFile(s.path)
+	if err != nil {
+		return nil, fmt.Errorf("persist: reading segment: %w", err)
+	}
+	return data, nil
+}
+
 // RecoveredWAL describes what OpenWAL (or the read-only ReadLog) found on
 // disk.
 type RecoveredWAL struct {
@@ -206,8 +216,12 @@ func OpenWAL(dir string) (*WAL, RecoveredWAL, error) {
 		if seg.start > 0 && seg.start-1 > w.seq {
 			w.seq = seg.start - 1
 		}
+		data, err := seg.read()
+		if err != nil {
+			return nil, info, err
+		}
 		last := i == len(segs)-1
-		scanned, err := scanSegment(seg, w.seq, last, nil)
+		scanned, err := scanSegment(seg, data, w.seq, last, nil)
 		if err != nil {
 			return nil, info, err
 		}
@@ -280,7 +294,11 @@ func ReadLog(dir string, after uint64, fn func(Record) error) (RecoveredWAL, err
 		if kept == 0 {
 			first = seg.start
 		}
-		scanned, err := scanSegment(seg, prevSeq, i == len(segs)-1, func(rec Record) error {
+		data, err := seg.read()
+		if err != nil {
+			return info, err
+		}
+		scanned, err := scanSegment(seg, data, prevSeq, i == len(segs)-1, func(rec Record) error {
 			if rec.Seq <= after {
 				return nil
 			}
@@ -347,14 +365,10 @@ type scanResult struct {
 // rather than missing bytes) cannot come from a torn write of a 5-byte
 // prefix and is refused everywhere, as is an unsupported version — deleting
 // it could destroy a log written by a newer binary. When apply is non-nil
-// it is called for every valid record.
-func scanSegment(seg segmentInfo, prevSeq uint64, last bool, apply func(Record) error) (scanResult, error) {
-	res := scanResult{truncate: -1, lastSeq: prevSeq}
-	data, err := os.ReadFile(seg.path)
-	if err != nil {
-		return res, fmt.Errorf("persist: reading segment: %w", err)
-	}
-	res.size = int64(len(data))
+// it is called for every valid record. data is the segment's content; seg
+// names it in errors.
+func scanSegment(seg segmentInfo, data []byte, prevSeq uint64, last bool, apply func(Record) error) (scanResult, error) {
+	res := scanResult{truncate: -1, lastSeq: prevSeq, size: int64(len(data))}
 	if last && len(data) <= segHeaderLen && tornHeader(data) {
 		res.drop = true
 		return res, nil
@@ -369,7 +383,11 @@ func scanSegment(seg segmentInfo, prevSeq uint64, last bool, apply func(Record) 
 		return res, fmt.Errorf("persist: %s: unsupported wal version %d (want %d)", seg.path, data[4], walVersion)
 	}
 	off := int64(segHeaderLen)
-	var tuples []transport.Tuple
+	var (
+		dec    frameDecoder
+		tuples []transport.Tuple
+		err    error
+	)
 	for off < int64(len(data)) {
 		rest := data[off:]
 		torn := func(reason string) (scanResult, error) {
@@ -417,7 +435,7 @@ func scanSegment(seg segmentInfo, prevSeq uint64, last bool, apply func(Record) 
 		switch RecordType(typ) {
 		case RecordTuples:
 			if apply != nil {
-				tuples, err = decodeTuplesPayload(payload, tuples[:0])
+				tuples, err = dec.decodeTuplesPayload(payload, tuples[:0])
 				if err != nil {
 					return res, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.path, off, err)
 				}
@@ -434,7 +452,7 @@ func scanSegment(seg segmentInfo, prevSeq uint64, last bool, apply func(Record) 
 		case RecordDeliver:
 			if apply != nil {
 				rec := Record{Seq: seq, Type: RecordDeliver}
-				rec.Origin, rec.Epoch, rec.PeerSeq, tuples, err = decodeDeliverPayload(payload, tuples[:0])
+				rec.Origin, rec.Epoch, rec.PeerSeq, tuples, err = dec.decodeDeliverPayload(payload, tuples[:0])
 				if err != nil {
 					return res, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.path, off, err)
 				}
@@ -490,9 +508,17 @@ func tornHeader(data []byte) bool {
 	return prefix || zero
 }
 
+// frameDecoder decodes the transport batch streams inside one scan's
+// records through a single FrameReader, so a replay allocates the reader's
+// buffers once per segment rather than once per record.
+type frameDecoder struct {
+	src bytes.Reader
+	fr  *transport.FrameReader
+}
+
 // decodeDeliverPayload splits a RecordDeliver payload into its peer
 // position and tuple stream.
-func decodeDeliverPayload(payload []byte, dst []transport.Tuple) (origin string, epoch, peerSeq uint64, tuples []transport.Tuple, err error) {
+func (d *frameDecoder) decodeDeliverPayload(payload []byte, dst []transport.Tuple) (origin string, epoch, peerSeq uint64, tuples []transport.Tuple, err error) {
 	if len(payload) < 1 {
 		return "", 0, 0, dst, errors.New("deliver record payload empty")
 	}
@@ -503,19 +529,25 @@ func decodeDeliverPayload(payload []byte, dst []transport.Tuple) (origin string,
 	origin = string(payload[1 : 1+olen])
 	epoch = binary.LittleEndian.Uint64(payload[1+olen:])
 	peerSeq = binary.LittleEndian.Uint64(payload[1+olen+8:])
-	tuples, err = decodeTuplesPayload(payload[1+olen+16:], dst)
+	tuples, err = d.decodeTuplesPayload(payload[1+olen+16:], dst)
 	return origin, epoch, peerSeq, tuples, err
 }
 
 // decodeTuplesPayload decodes a record's transport batch stream into dst.
-func decodeTuplesPayload(payload []byte, dst []transport.Tuple) ([]transport.Tuple, error) {
-	fr, err := transport.NewFrameReader(bytes.NewReader(payload))
+func (d *frameDecoder) decodeTuplesPayload(payload []byte, dst []transport.Tuple) ([]transport.Tuple, error) {
+	d.src.Reset(payload)
+	var err error
+	if d.fr == nil {
+		d.fr, err = transport.NewFrameReader(&d.src)
+	} else {
+		err = d.fr.Reset(&d.src)
+	}
 	if err != nil {
 		return dst, err
 	}
 	var t transport.Tuple
 	for {
-		if err := fr.NextTuple(&t); err != nil {
+		if err := d.fr.NextTuple(&t); err != nil {
 			if err == io.EOF {
 				return dst, nil
 			}
@@ -539,7 +571,11 @@ func (w *WAL) Replay(after uint64, fn func(Record) error) error {
 		if i+1 < len(segs) && segs[i+1].start <= after+1 {
 			continue
 		}
-		_, err := scanSegment(seg, 0, i == len(segs)-1, func(rec Record) error {
+		data, err := seg.read()
+		if err != nil {
+			return err
+		}
+		_, err = scanSegment(seg, data, 0, i == len(segs)-1, func(rec Record) error {
 			if rec.Seq <= after {
 				return nil
 			}

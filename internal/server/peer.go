@@ -132,8 +132,8 @@ func (s *Server) PeerBatchSeen(origin string, epoch, seq uint64) bool {
 // NoteRelayDuplicate counts one relay batch suppressed outside
 // DeliverPeerBatch. The durable path dedups with PeerBatchSeen before
 // logging (so duplicates never reach the WAL) and must report the
-// suppression here, or /peer/status would undercount duplicates on
-// durable analyzers relative to in-memory ones.
+// suppression here, or /healthz and /metrics would undercount duplicates
+// on durable analyzers relative to in-memory ones.
 func (s *Server) NoteRelayDuplicate() {
 	s.peers.relayDuplicates.Add(1)
 }

@@ -146,7 +146,6 @@ type Server struct {
 	// shard locks like full Stats does. One atomic add per Deliver batch,
 	// not per tuple.
 	delivered  atomic.Int64 // tuples folded by Deliver
-	rawTuples  atomic.Int64 // raw baseline tuples folded by IngestRaw
 	contention atomic.Int64 // acquireShard calls that left their hint shard
 
 	tabCache  snapshotCache[*bandit.TabularState]
@@ -319,7 +318,8 @@ func (s *Server) Deliver(batch []transport.Tuple) {
 }
 
 // IngestRaw folds one unencoded observation into the LinUCB baseline model
-// (the "warm and non-private" arm of the evaluation).
+// (the "warm and non-private" arm of the evaluation). No node route calls
+// it: the baseline runs in process, through agent.Loopback.
 func (s *Server) IngestRaw(t transport.RawTuple) error {
 	if len(t.Context) != s.cfg.D {
 		return fmt.Errorf("server: raw context dimension %d, want %d", len(t.Context), s.cfg.D)
@@ -341,7 +341,6 @@ func (s *Server) IngestRaw(t transport.RawTuple) error {
 	sh.version.Add(1)
 	sh.mu.Unlock()
 	s.signalChanged()
-	s.rawTuples.Add(1)
 	return nil
 }
 
@@ -598,12 +597,12 @@ func invertArms(st *bandit.LinUCBState, aSum []*mat.Dense, d, workers int) {
 }
 
 // IngestCounters returns lock-free ingestion totals: tuples delivered
-// through the privacy pipeline, raw baseline tuples, and how many shard
-// acquisitions were displaced by contention. These are the atomic mirrors
-// telemetry scrapes read, so a /metrics pull never serializes against
-// Deliver the way a full Stats sweep would.
-func (s *Server) IngestCounters() (delivered, raw, contention int64) {
-	return s.delivered.Load(), s.rawTuples.Load(), s.contention.Load()
+// through the privacy pipeline and how many shard acquisitions were
+// displaced by contention. These are the atomic mirrors telemetry scrapes
+// read, so a /metrics pull never serializes against Deliver the way a full
+// Stats sweep would.
+func (s *Server) IngestCounters() (delivered, contention int64) {
+	return s.delivered.Load(), s.contention.Load()
 }
 
 // SnapshotCacheStats returns just the snapshot-cache counters. Unlike

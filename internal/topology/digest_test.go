@@ -173,6 +173,14 @@ func TestDigestSkipsPositionsAlreadyPushed(t *testing.T) {
 	a.ingest(eqBatches(3, 7))
 	b := newDigestNode(t, "analyzer-b", 8, 11, "")
 
+	// The shared counter is what makes the two sides agree, so a peering
+	// without one is refused.
+	if _, err := topology.NewPeering(topology.PeeringOptions{
+		Origin: "analyzer-a", Peers: []string{b.url}, Export: a.srv.ExportState,
+	}); err == nil {
+		t.Fatal("NewPeering accepted a nil LocalVersion")
+	}
+
 	// A pushes to B once (the healthy steady state). Epoch 7 is the same
 	// epoch A's digest surface advertises, exactly as p2bnode wires it.
 	pusher, err := topology.NewPeering(topology.PeeringOptions{

@@ -122,11 +122,7 @@ type PeeringOptions struct {
 	// sequence number: a push is stamped with the version captured BEFORE
 	// the export, so the advertised seq is a floor on the exported content
 	// and matches what the receiver's digest later reports for this
-	// origin. Nil pushes every cycle under a private counter — fine for
-	// push-only fleets, but the digest round requires it (the /peer/digest
-	// self entry is stamped from the same counter, and mixed stamping
-	// would let a digest under-report a pushed position and mask a
-	// missing fetch).
+	// origin. Required.
 	LocalVersion func() uint64
 	// Changed, when non-nil, wakes the Start loop after a local state
 	// change (wire it to server.LocalChanged): the loop pushes at once if
@@ -164,7 +160,6 @@ type Peering struct {
 	client *http.Client
 
 	mu     sync.Mutex
-	seq    uint64
 	states map[string]*SyncStatus // keyed by peer URL
 	lastV  map[string]uint64      // local version last pushed per peer
 	pushed map[string]bool        // whether lastV entry is valid
@@ -186,6 +181,9 @@ func NewPeering(opts PeeringOptions) (*Peering, error) {
 	}
 	if opts.Export == nil {
 		return nil, fmt.Errorf("topology: peering needs an Export func")
+	}
+	if opts.LocalVersion == nil {
+		return nil, fmt.Errorf("topology: peering needs a LocalVersion func")
 	}
 	if opts.DigestInterval > 0 && (opts.Local == nil || opts.Apply == nil) {
 		return nil, fmt.Errorf("topology: the digest round needs Local and Apply funcs")
@@ -317,17 +315,14 @@ func (p *Peering) Close() {
 func (p *Peering) Sync() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var version uint64
-	if p.opts.LocalVersion != nil {
-		version = p.opts.LocalVersion()
-	}
+	version := p.opts.LocalVersion()
 	// One encoded export serves every peer this round, made when the first
 	// stale peer is found.
 	var body []byte
 	var encErr error
 	for _, peer := range p.opts.Peers {
 		st := p.states[peer]
-		if p.opts.LocalVersion != nil && p.pushed[peer] && p.lastV[peer] == version {
+		if p.pushed[peer] && p.lastV[peer] == version {
 			st.Skipped++
 			continue
 		}
@@ -367,15 +362,10 @@ func (p *Peering) Sync() {
 // missed update. The digest round's /peer/digest self entry reads the
 // same counter, so pushed and pulled positions agree.
 func (p *Peering) encode(version uint64) ([]byte, error) {
-	seq := version
-	if p.opts.LocalVersion == nil {
-		p.seq++
-		seq = p.seq
-	}
 	enc, err := AppendPeerUpdate(p.enc[:0], PeerUpdate{
 		Origin: p.opts.Origin,
 		Epoch:  p.opts.Epoch,
-		Seq:    seq,
+		Seq:    version,
 		State:  p.opts.Export(),
 	})
 	if err != nil {

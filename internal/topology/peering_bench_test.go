@@ -46,9 +46,11 @@ func BenchmarkPeeringRound(b *testing.B) {
 				h.ServeHTTP(w, r)
 			}))
 			defer ts.Close()
-			// No LocalVersion: every Sync pushes, under a private counter.
+			// A version that advances on every call: every Sync pushes.
+			var version atomic.Uint64
 			p, err := topology.NewPeering(topology.PeeringOptions{
 				Origin: "a1", Epoch: 1, Peers: []string{ts.URL}, Export: sender.ExportState,
+				LocalVersion: func() uint64 { return version.Add(1) },
 			})
 			if err != nil {
 				b.Fatal(err)

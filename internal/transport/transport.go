@@ -1,7 +1,11 @@
 // Package transport defines the messages that flow between P2B components
-// (agents, shuffler, server) and provides two carriers for them: an
-// in-process channel bus used by the simulator and an HTTP carrier
-// (httptransport.go) used when the components run as separate processes.
+// (agents, shuffler, server) and their binary encodings: the P2B1 report
+// batch stream (wire.go), the P2BM model (modelwire.go) and the Reader
+// single-message decoders share (reader.go), plus the retry policy every
+// HTTP sender shares (retry.go). The HTTP carriers live elsewhere: the
+// device SDK's client in package agent, the node's routes in
+// internal/httpapi. The population simulator passes messages in process,
+// through agent.Loopback.
 //
 // Envelopes deliberately carry the identifying metadata a real network
 // stack would expose (device ID, source address, timestamp) so that the

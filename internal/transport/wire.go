@@ -129,15 +129,31 @@ type FrameReader struct {
 // NewFrameReader wraps r and validates the stream magic. A stream whose
 // first four bytes are not Magic fails immediately with ErrBadMagic.
 func NewFrameReader(r io.Reader) (*FrameReader, error) {
-	br := bufio.NewReaderSize(r, 32<<10)
+	fr := &FrameReader{r: bufio.NewReaderSize(r, 32<<10)}
+	if err := fr.readMagic(); err != nil {
+		return nil, err
+	}
+	return fr, nil
+}
+
+// Reset switches fr to the stream r and validates its magic like
+// NewFrameReader, keeping the read and frame buffers: a caller decoding
+// many short streams (WAL replay, one per record) allocates them once.
+func (fr *FrameReader) Reset(r io.Reader) error {
+	fr.r.Reset(r)
+	fr.n = 0
+	return fr.readMagic()
+}
+
+func (fr *FrameReader) readMagic() error {
 	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("transport: reading batch magic: %w", err)
+	if _, err := io.ReadFull(fr.r, magic[:]); err != nil {
+		return fmt.Errorf("transport: reading batch magic: %w", err)
 	}
 	if string(magic[:]) != Magic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
-	return &FrameReader{r: br}, nil
+	return nil
 }
 
 // readFrame reads the next frame body into the reused buffer. It returns

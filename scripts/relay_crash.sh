@@ -212,15 +212,15 @@ if [ -z "$converged" ]; then
 fi
 
 echo "== non-vacuity: exactly-once accounting on the analyzer =="
-curl -fsS "$URL_ANALYZER/peer/status" >"$WORK/peer_status.json"
-if ! grep -q "\"relay_batches\":$NBATCH\b" "$WORK/peer_status.json"; then
+curl -fsS "$URL_ANALYZER/metrics" | grep '^p2b_peer_relay_' >"$WORK/analyzer_relay_metrics.log" || true
+if ! grep -qx "p2b_peer_relay_batches_total $NBATCH" "$WORK/analyzer_relay_metrics.log"; then
   echo "FAIL: analyzer did not apply exactly $NBATCH relay batches" >&2
-  cat "$WORK/peer_status.json" >&2
+  cat "$WORK/analyzer_relay_metrics.log" >&2
   exit 1
 fi
-if ! grep -oE '"relay_duplicates":[0-9]+' "$WORK/peer_status.json" | grep -qv ':0$'; then
+if ! grep -qE '^p2b_peer_relay_duplicates_total [1-9][0-9]*$' "$WORK/analyzer_relay_metrics.log"; then
   echo "FAIL: analyzer saw no duplicate batches — the retransmit path went untested" >&2
-  cat "$WORK/peer_status.json" >&2
+  cat "$WORK/analyzer_relay_metrics.log" >&2
   exit 1
 fi
 if ! grep -o '"count":\[[^]]*\]' "$WORK/single_tabular.json" | grep -q '[1-9]'; then
