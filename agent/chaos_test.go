@@ -8,8 +8,9 @@ package agent
 // Why this can be exact: the fault placement is idempotency-aware
 // (resets/503s strictly pre-forward, truncation GET-only), the transport
 // runs one in-flight sender so retried batches still arrive in cut order,
-// the node ingests with a single shard, and every random stream involved
-// is seeded. Faults may change WHEN things happen, never WHAT arrives.
+// the node folds batches into one accumulator in arrival order, and every
+// random stream involved is seeded. Faults may change WHEN things happen,
+// never WHAT arrives.
 
 import (
 	"context"
@@ -48,11 +49,11 @@ type chaosNode struct {
 	ts *httptest.Server
 }
 
-// bootChaosNode opens a single-shard node with per-append fsync (every
+// bootChaosNode opens a node with per-append fsync (every
 // acked report survives a kill) when dir is set, in memory otherwise.
 func bootChaosNode(t *testing.T, cfg node.Config, dir string, seed uint64) *chaosNode {
 	t.Helper()
-	cfg.Server = server.Config{K: httpK, Arms: httpArms, D: httpDim, Alpha: 1, Seed: seed, Shards: 1}
+	cfg.Server = server.Config{K: httpK, Arms: httpArms, D: httpDim, Alpha: 1, Seed: seed}
 	cfg.Shuffler.BatchSize = 8
 	cfg.DataDir = dir
 	cfg.Persist = persist.Options{SyncInterval: 0}
@@ -382,7 +383,7 @@ func TestChaosRelayRestartLosesNothing(t *testing.T) {
 // through a resetting proxy are never double-ingested (resets happen
 // before forwarding, so a retry is the FIRST delivery).
 func TestChaosProxyRetriesDoNotDoubleIngest(t *testing.T) {
-	srv := server.New(server.Config{K: httpK, Arms: httpArms, D: httpDim, Alpha: 1, Seed: 1, Shards: 1})
+	srv := server.New(server.Config{K: httpK, Arms: httpArms, D: httpDim, Alpha: 1, Seed: 1})
 	shuf := shuffler.New(shuffler.Config{BatchSize: 64, Threshold: 0}, srv, rng.New(5))
 	node := httptest.NewServer(httpapi.NewNodeHandler(shuf, srv))
 	defer node.Close()

@@ -27,7 +27,7 @@ type failoverNode struct {
 
 func newFailoverNode(t *testing.T) *failoverNode {
 	t.Helper()
-	srv := server.New(server.Config{K: 16, Arms: 4, D: 3, Alpha: 1, Seed: 1, Shards: 1})
+	srv := server.New(server.Config{K: 16, Arms: 4, D: 3, Alpha: 1, Seed: 1})
 	shuf := shuffler.New(shuffler.Config{BatchSize: 4, Threshold: 0}, srv, rng.New(1))
 	ts := httptest.NewServer(httpapi.NewNodeHandler(shuf, srv))
 	t.Cleanup(ts.Close)

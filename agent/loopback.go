@@ -14,7 +14,7 @@ import (
 // in-process shuffler and analyzer server, with no serialization and no
 // network. Reports enter the shuffler's privacy pipeline exactly as remote
 // reports do; model fetches are versioned snapshots straight off the
-// server's accumulator shards.
+// server's accumulator.
 //
 // The simulator in internal/core wires every simulated user through a
 // Loopback, so a simulated deployment and a real one differ only in which

@@ -269,28 +269,8 @@ func BenchmarkShufflerThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkServerDeliver measures global-model ingestion under concurrent
-// load: every benchmark goroutine (scaled by -cpu) delivers its own
-// batches, the regime the sharded server is built for. The pre-shard
-// server serialized all of them behind one mutex.
-func BenchmarkServerDeliver(b *testing.B) {
-	srv := server.New(server.Config{K: 1024, Arms: 20, D: 10, Alpha: 1, Seed: 1})
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		batch := make([]transport.Tuple, 256)
-		for i := range batch {
-			batch[i] = transport.Tuple{Code: i % 1024, Action: i % 20, Reward: 0.5}
-		}
-		for pb.Next() {
-			srv.Deliver(batch)
-		}
-	})
-	b.StopTimer()
-	_ = srv.Stats()
-}
-
-// BenchmarkServerDeliverSerial guards the single-caller ingestion cost:
-// sharding must not tax the sequential path.
+// BenchmarkServerDeliverSerial guards the ingestion cost of one 256-tuple
+// batch: one lock, one pass over the batch.
 func BenchmarkServerDeliverSerial(b *testing.B) {
 	srv := server.New(server.Config{K: 1024, Arms: 20, D: 10, Alpha: 1, Seed: 1})
 	batch := make([]transport.Tuple, 256)
@@ -366,8 +346,8 @@ func BenchmarkFleetWarmStart(b *testing.B) {
 	}
 }
 
-// BenchmarkLinSnapshotBuild measures one LinUCB snapshot rebuild (shard
-// merge + per-arm ridge inversions) at a size where the O(arms d^3)
+// BenchmarkLinSnapshotBuild measures one LinUCB snapshot rebuild
+// (accumulator copy + per-arm ridge inversions) at a size where the O(arms d^3)
 // inversions dominate — the cost every model-version bump pays once.
 func BenchmarkLinSnapshotBuild(b *testing.B) {
 	const d, arms = 48, 16

@@ -113,7 +113,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.Shuffler.Threshold, "threshold", 10, "crowd-blending threshold l")
 	fs.IntVar(&o.Shuffler.BatchSize, "batch", 0, "shuffler batch size (default 32*threshold)")
 	fs.Uint64Var(&o.Server.Seed, "seed", 1, "seed for the shuffler's permutation stream")
-	fs.IntVar(&o.Server.Shards, "shards", 0, "server ingestion shards (0 = GOMAXPROCS capped at 16; 1 makes ingestion order fully deterministic)")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown drain timeout")
 
 	fs.StringVar(&o.DataDir, "data-dir", "", "directory for WAL + checkpoints (empty = in-memory only, state dies with the process)")

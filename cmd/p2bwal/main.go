@@ -132,11 +132,11 @@ func main() {
 				// epoch, seq) position. The target's duplicate guard makes the
 				// replay idempotent.
 				tuples += len(rec.Tuples)
-				enc = encodeTuples(enc, rec.Tuples)
+				enc = transport.AppendTuples(enc[:0], rec.Tuples)
 				return deliverPeer(client, *node, *peerToken, rec, enc)
 			case persist.RecordTuples:
 				tuples += len(rec.Tuples)
-				enc = encodeTuples(enc, rec.Tuples)
+				enc = transport.AppendTuples(enc[:0], rec.Tuples)
 				return post(client, *node+"/shuffler/reports", transport.ContentTypeBinary, enc, http.StatusAccepted)
 			case persist.RecordCursor:
 				// The source relay's forwarding identity, not ingestion input:
@@ -154,18 +154,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown mode %q (want verify, dump or replay)", mode))
 	}
-}
-
-// encodeTuples re-encodes a replayed record's tuples as one P2B1 batch
-// stream into dst's storage.
-func encodeTuples(dst []byte, tuples []transport.Tuple) []byte {
-	dst = transport.AppendMagic(dst[:0])
-	e := transport.Envelope{}
-	for _, t := range tuples {
-		e.Tuple = t
-		dst = e.AppendFrame(dst)
-	}
-	return dst
 }
 
 // deliverPeer re-delivers one relay-forwarded batch to the target's

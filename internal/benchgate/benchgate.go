@@ -41,7 +41,7 @@ const DefaultTolerance = 0.30
 // It is the single source of truth: `p2bgate -update` runs it, and the
 // GUARD_BENCH_REGEX env var in .github/workflows/ci.yml must stay equal to
 // it (the workflow cannot import Go constants).
-const GuardBenchRegex = "^(BenchmarkKMeansEncode|BenchmarkLinUCBSelect|BenchmarkLinUCBUpdate|BenchmarkTabularSelect|BenchmarkServerDeliver|BenchmarkServerDeliverSerial|BenchmarkShufflerThroughput|BenchmarkIngestBinary|BenchmarkModelGet|BenchmarkFleetWarmStart|BenchmarkLinSnapshotBuild)$"
+const GuardBenchRegex = "^(BenchmarkKMeansEncode|BenchmarkLinUCBSelect|BenchmarkLinUCBUpdate|BenchmarkTabularSelect|BenchmarkServerDeliverSerial|BenchmarkShufflerThroughput|BenchmarkIngestBinary|BenchmarkModelGet|BenchmarkFleetWarmStart|BenchmarkLinSnapshotBuild)$"
 
 // GuardBenchPackages are the package paths `go test -bench` runs the guard
 // regex against, in the exact order the CI workflow uses.

@@ -279,9 +279,6 @@ func NewSystem(cfg Config, env Environment, enc encoding.Encoder) (*System, erro
 		Alpha:   cfg.Alpha,
 		Seed:    cfg.Seed,
 		Decoder: decoder,
-		// One ingestion shard per simulation worker: every worker can be
-		// inside Deliver/IngestRaw simultaneously without contending.
-		Shards: cfg.Workers,
 	})
 	shuf := shuffler.New(shuffler.Config{
 		BatchSize: cfg.BatchSize,

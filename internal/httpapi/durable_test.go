@@ -18,7 +18,7 @@ import (
 
 func newDurableNode(t *testing.T, dir string) (*httptest.Server, *server.Server, *persist.Manager) {
 	t.Helper()
-	srv := server.New(server.Config{K: 16, Arms: 3, D: 2, Alpha: 1, Shards: 1})
+	srv := server.New(server.Config{K: 16, Arms: 3, D: 2, Alpha: 1})
 	shuf := shuffler.New(shuffler.Config{BatchSize: 8, Threshold: 0}, srv, rng.New(4).Split("shuffler"))
 	m, err := persist.Open(dir, shuf, srv, persist.Options{Logf: t.Logf})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestDurableNodeSurvivesRestart(t *testing.T) {
 	ts.Close()
 	m.Close() // crash semantics: no flush, no checkpoint
 
-	srv2 := server.New(server.Config{K: 16, Arms: 3, D: 2, Alpha: 1, Shards: 1})
+	srv2 := server.New(server.Config{K: 16, Arms: 3, D: 2, Alpha: 1})
 	shuf2 := shuffler.New(shuffler.Config{BatchSize: 8, Threshold: 0}, srv2, rng.New(4).Split("shuffler"))
 	m2, err := persist.Open(dir, shuf2, srv2, persist.Options{Logf: t.Logf})
 	if err != nil {

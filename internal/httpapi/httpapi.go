@@ -250,7 +250,7 @@ func NewNodeHandlerOpts(shuf *shuffler.Shuffler, srv *server.Server, opts NodeOp
 			cfg := srv.Config()
 			status.Model = ModelShapes{K: cfg.K, Arms: cfg.Arms, D: cfg.D, Version: srv.ModelVersion()}
 			// Atomic counters only — the preflight probe every device hits
-			// must not lock-sweep the ingestion shards like full Stats does.
+			// must not take the ingestion lock like full Stats does.
 			hits, builds := srv.SnapshotCacheStats()
 			status.Snapshots = &SnapshotCacheStats{Hits: hits, Builds: builds}
 			reads := sh.ReadStats()

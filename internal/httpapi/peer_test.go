@@ -23,7 +23,7 @@ import (
 // metrics registry, returning the pieces tests poke at.
 func newAnalyzer(t *testing.T, origin, token string) (*server.Server, *httptest.Server) {
 	t.Helper()
-	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1, Shards: 1})
+	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1})
 	shuf := shuffler.New(shuffler.Config{BatchSize: 4, Threshold: 0}, srv, rng.New(2))
 	h := NewNodeHandlerOpts(shuf, srv, NodeOptions{
 		Metrics:   metrics.NewRegistry(),
@@ -178,7 +178,7 @@ func postMergeBody(t *testing.T, url, contentType string, blob []byte) (int, boo
 func TestPeerMergeDoubleApplyRejectedOverWire(t *testing.T) {
 	srv, ts := newAnalyzer(t, "analyzer-1", "")
 
-	remote := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 2, Shards: 1})
+	remote := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 2})
 	remote.Deliver(peerBatch(12))
 	upd := topology.PeerUpdate{Origin: "analyzer-2", Epoch: 9, Seq: 1, State: remote.ExportState()}
 
@@ -260,7 +260,7 @@ func TestPeerMergeDoubleApplyRejectedOverWire(t *testing.T) {
 }
 
 func TestPeerStatusAndHealthzReportRoleAndPeers(t *testing.T) {
-	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1, Shards: 1})
+	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1})
 	shuf := shuffler.New(shuffler.Config{BatchSize: 4, Threshold: 0}, srv, rng.New(2))
 	reg := metrics.NewRegistry()
 	syncStatus := []topology.SyncStatus{{Target: "http://peer-a", Pushes: 3, LastSyncUnixNano: time.Now().UnixNano()}}
@@ -275,7 +275,7 @@ func TestPeerStatusAndHealthzReportRoleAndPeers(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	remote := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 2, Shards: 1})
+	remote := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 2})
 	remote.Deliver(peerBatch(8))
 	upd := topology.PeerUpdate{Origin: "analyzer-2", Epoch: 9, Seq: 1, State: remote.ExportState()}
 	if status, applied := postMerge(t, ts.URL, upd); status != http.StatusOK || !applied {

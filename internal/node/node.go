@@ -58,7 +58,7 @@ type Config struct {
 	// only announced, never dialed. Required with Registry.
 	Advertise string
 
-	// Server sizes the analyzer state (-k, -arms, -d, -alpha, -shards).
+	// Server sizes the analyzer state (-k, -arms, -d, -alpha).
 	// A relay builds one too — the persist layer checkpoints through it —
 	// and advertises its shapes on /healthz. Server.Seed also seeds the
 	// shuffler's permutation stream.

@@ -34,7 +34,7 @@ func testConfig(role topology.Role, name, dir string) Config {
 	return Config{
 		Role:      role,
 		Name:      name,
-		Server:    server.Config{K: 8, Arms: 3, D: 2, Alpha: 1, Seed: 1, Shards: 1},
+		Server:    server.Config{K: 8, Arms: 3, D: 2, Alpha: 1, Seed: 1},
 		Shuffler:  shuffler.Config{BatchSize: 4, Threshold: 0},
 		Admission: httpapi.AdmissionConfig{MaxInFlight: 256, MaxInFlightBytes: 64 << 20},
 		DataDir:   dir,

@@ -21,7 +21,7 @@ func TestCheckpointWithRetiredCentroidFieldImports(t *testing.T) {
 	if err != nil || ckpt == nil {
 		t.Fatalf("LoadCheckpoint = %v, %v", ckpt, err)
 	}
-	srv := server.New(server.Config{K: 4, Arms: 2, D: 2, Alpha: 1, Shards: 1})
+	srv := server.New(server.Config{K: 4, Arms: 2, D: 2, Alpha: 1})
 	if err := srv.ImportState(ckpt.Server); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ const (
 )
 
 func newNode() (*shuffler.Shuffler, *server.Server) {
-	srv := server.New(server.Config{K: tK, Arms: tArms, D: tD, Alpha: 1, Shards: 2})
+	srv := server.New(server.Config{K: tK, Arms: tArms, D: tD, Alpha: 1})
 	shuf := shuffler.New(shuffler.Config{BatchSize: tBatch, Threshold: tThr}, srv, rng.New(tSeed).Split("shuffler"))
 	return shuf, srv
 }
@@ -299,7 +299,7 @@ func TestRecoverRefusesShapeMismatch(t *testing.T) {
 	}
 	m.Close()
 
-	srv2 := server.New(server.Config{K: tK * 2, Arms: tArms, D: tD, Alpha: 1, Shards: 2})
+	srv2 := server.New(server.Config{K: tK * 2, Arms: tArms, D: tD, Alpha: 1})
 	shuf2 := shuffler.New(shuffler.Config{BatchSize: tBatch, Threshold: tThr}, srv2, rng.New(tSeed))
 	_, err = Open(dir, shuf2, srv2, Options{Logf: t.Logf})
 	if err == nil || !strings.Contains(err.Error(), "persisted shape") {

@@ -618,12 +618,7 @@ func (w *WAL) AppendTuples(tuples []transport.Tuple, sync bool) (uint64, error) 
 			if n > maxTuplesPerRecord {
 				n = maxTuplesPerRecord
 			}
-			w.enc = transport.AppendMagic(w.enc[:0])
-			e := transport.Envelope{}
-			for _, t := range tuples[:n] {
-				e.Tuple = t
-				w.enc = e.AppendFrame(w.enc)
-			}
+			w.enc = transport.AppendTuples(w.enc[:0], tuples[:n])
 			if err := w.appendRecordLocked(RecordTuples, w.enc); err != nil {
 				return err
 			}
@@ -654,12 +649,7 @@ func (w *WAL) AppendDeliver(origin string, epoch, peerSeq uint64, tuples []trans
 		w.enc = append(w.enc, origin...)
 		w.enc = binary.LittleEndian.AppendUint64(w.enc, epoch)
 		w.enc = binary.LittleEndian.AppendUint64(w.enc, peerSeq)
-		w.enc = transport.AppendMagic(w.enc)
-		e := transport.Envelope{}
-		for _, t := range tuples {
-			e.Tuple = t
-			w.enc = e.AppendFrame(w.enc)
-		}
+		w.enc = transport.AppendTuples(w.enc, tuples)
 		if len(w.enc) > maxRecordPayload {
 			return fmt.Errorf("persist: deliver batch of %d tuples encodes to %d bytes, exceeding the %d record bound", len(tuples), len(w.enc), maxRecordPayload)
 		}

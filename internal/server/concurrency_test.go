@@ -9,23 +9,12 @@ import (
 	"p2b/internal/transport"
 )
 
-// TestShardConfigRespected pins the Shards knob and its default.
-func TestShardConfigRespected(t *testing.T) {
-	s := New(Config{K: 4, Arms: 3, D: 2, Alpha: 1, Shards: 5})
-	if got := len(s.shards); got != 5 {
-		t.Fatalf("shards = %d, want 5", got)
-	}
-	if got := s.Config().Shards; got != 5 {
-		t.Fatalf("Config().Shards = %d, want 5", got)
-	}
-	if s := New(Config{K: 4, Arms: 3, D: 2}); len(s.shards) < 1 {
-		t.Fatal("default shard count must be at least 1")
-	}
-}
+// raceDetector reports a -race build (race_test.go sets it).
+var raceDetector bool
 
-// TestConcurrentDeliverMergesExactly hammers a many-shard server from many
-// goroutines and checks the merged model equals the arithmetic total: the
-// per-shard accumulators must not lose or double-count anything.
+// TestConcurrentDeliverMergesExactly hammers the server from many
+// goroutines and checks the model equals the arithmetic total: concurrent
+// Deliver calls must not lose or double-count anything.
 func TestConcurrentDeliverMergesExactly(t *testing.T) {
 	const (
 		workers = 8
@@ -33,7 +22,7 @@ func TestConcurrentDeliverMergesExactly(t *testing.T) {
 		k       = 16
 		arms    = 4
 	)
-	s := New(Config{K: k, Arms: arms, D: 2, Alpha: 1, Shards: workers})
+	s := New(Config{K: k, Arms: arms, D: 2, Alpha: 1})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -67,12 +56,12 @@ func TestConcurrentDeliverMergesExactly(t *testing.T) {
 	}
 }
 
-// TestConcurrentIngestRawMergesExactly is the raw-path analogue: the merged
+// TestConcurrentIngestRawMergesExactly is the raw-path analogue: the
 // LinUCB design matrix must reflect every observation.
 func TestConcurrentIngestRawMergesExactly(t *testing.T) {
 	const workers = 4
 	const perWorker = 300
-	s := New(Config{K: 4, Arms: 2, D: 2, Alpha: 1, Shards: workers})
+	s := New(Config{K: 4, Arms: 2, D: 2, Alpha: 1})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -98,6 +87,81 @@ func TestConcurrentIngestRawMergesExactly(t *testing.T) {
 	}
 	if got := snap.B[0][0]; got != n {
 		t.Fatalf("B[0][0] = %v, want %v", got, n)
+	}
+}
+
+// TestModelReadsRacingDeliverKeepTheBits pins that model reads never
+// perturb ingestion: while a reader loops TabularModel, a writer delivers a
+// fixed batch sequence whose rewards make the cell sums order-sensitive,
+// and the final export must equal a sequentially fed server's bit for bit.
+// A read holding the accumulator may delay a Deliver but must never divert
+// it into a second accumulator that a later merge would sum in a different
+// order.
+func TestModelReadsRacingDeliverKeepTheBits(t *testing.T) {
+	const (
+		k       = 1024
+		arms    = 20
+		batches = 20000
+		width   = 32 // active cells: tuple i of every batch hits (i, i mod arms)
+	)
+	// Several rounds, because one round of a striped server only usually
+	// diverts a Deliver. The race detector slows every snapshot build about
+	// a hundredfold, so it gets the single round that exercises the locking.
+	rounds := 30
+	if raceDetector {
+		rounds = 1
+	}
+	cfg := Config{K: k, Arms: arms, D: 2, Alpha: 1}
+	batch := func(b int, dst []transport.Tuple) {
+		for i := range dst {
+			dst[i] = transport.Tuple{Code: i, Action: i % arms, Reward: float64((31*b+7*i)%19) / 17}
+		}
+	}
+	feed := func(s *Server) {
+		buf := make([]transport.Tuple, width)
+		for b := 0; b < batches; b++ {
+			batch(b, buf)
+			s.Deliver(buf)
+		}
+	}
+	want := New(cfg)
+	feed(want)
+	ref := want.ExportState()
+
+	for round := 0; round < rounds; round++ {
+		s := New(cfg)
+		started, done := make(chan struct{}), make(chan struct{})
+		var reads sync.WaitGroup
+		reads.Add(1)
+		go func() {
+			defer reads.Done()
+			s.TabularModel()
+			close(started)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					s.TabularModel()
+				}
+			}
+		}()
+		<-started // the reader is live before the first Deliver
+		feed(s)
+		close(done)
+		reads.Wait()
+
+		got := s.ExportState()
+		changed := 0
+		for j := range ref.CellSum {
+			if math.Float64bits(got.CellSum[j]) != math.Float64bits(ref.CellSum[j]) ||
+				math.Float64bits(got.CellCount[j]) != math.Float64bits(ref.CellCount[j]) {
+				changed++
+			}
+		}
+		if changed != 0 {
+			t.Fatalf("round %d: %d of %d active cells differ in their bits from sequential ingestion", round, changed, width)
+		}
 	}
 }
 
@@ -158,7 +222,7 @@ func requireCentroidClose(t *testing.T, got, want *bandit.LinUCBState) {
 // that decoding happens once per code at snapshot build, never in Deliver.
 func TestCentroidModelDerivesFromCells(t *testing.T) {
 	dec := &countingDecoder{gridDecoder: gridDecoder{d: 3}}
-	cfg := Config{K: 16, Arms: 4, D: 3, Alpha: 1, Decoder: dec, Shards: 3}
+	cfg := Config{K: 16, Arms: 4, D: 3, Alpha: 1, Decoder: dec}
 	s := New(cfg)
 	batches := randomBatches(9, 40, cfg.K, cfg.Arms, 21)
 	batches = append(batches, []transport.Tuple{
@@ -202,7 +266,7 @@ func TestCentroidModelDerivesFromCells(t *testing.T) {
 
 	// A peer contribution reaches the centroid model through the cells,
 	// even from a peer with no decoder.
-	peer := New(Config{K: cfg.K, Arms: cfg.Arms, D: cfg.D, Alpha: 1, Shards: 1})
+	peer := New(Config{K: cfg.K, Arms: cfg.Arms, D: cfg.D, Alpha: 1})
 	peerBatches := randomBatches(5, 40, cfg.K, cfg.Arms, 22)
 	for _, b := range peerBatches {
 		peer.Deliver(b)
@@ -217,7 +281,7 @@ func TestCentroidModelDerivesFromCells(t *testing.T) {
 // TestSnapshotCacheInvalidation verifies that snapshots are cached between
 // mutations and refreshed after each one.
 func TestSnapshotCacheInvalidation(t *testing.T) {
-	s := New(Config{K: 4, Arms: 2, D: 2, Alpha: 1, Shards: 2})
+	s := New(Config{K: 4, Arms: 2, D: 2, Alpha: 1})
 	tuple := []transport.Tuple{{Code: 1, Action: 1, Reward: 1}}
 	s.Deliver(tuple)
 	a := s.TabularSnapshot()

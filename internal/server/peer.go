@@ -5,7 +5,7 @@
 //
 //   - Relay batches (DeliverPeerBatch): crowd-blended tuple batches a
 //     relay forwards after its shuffler finished with them. They fold into
-//     the local shards exactly like locally shuffled batches — the relay
+//     the local accumulator exactly like locally shuffled batches — the relay
 //     already anonymized, shuffled and thresholded them — guarded by a
 //     per-origin (epoch, seq) high-water mark so a retried or re-forwarded
 //     batch is applied at most once.
@@ -15,7 +15,7 @@
 //     (epoch, seq) arrives. Replacement, not addition, is the idempotency
 //     guard: applying one update twice, or applying a newer one after an
 //     older one, leaves exactly one copy of the origin's data. Snapshot
-//     builders fold the stored contributions in after the local shards, in
+//     builders fold the stored contributions in after the local cells, in
 //     sorted origin order, so any one analyzer's build is deterministic;
 //     and because the folded values are additive sufficient statistics,
 //     every analyzer holding the same contribution set computes the same
@@ -81,7 +81,7 @@ type peerState struct {
 type PeerStatus struct {
 	MergesApplied   int64 `json:"merges_applied"`   // peer updates stored or replaced
 	MergesRejected  int64 `json:"merges_rejected"`  // stale/duplicate peer updates ignored
-	RelayBatches    int64 `json:"relay_batches"`    // relay batches folded into local shards
+	RelayBatches    int64 `json:"relay_batches"`    // relay batches folded into local state
 	RelayDuplicates int64 `json:"relay_duplicates"` // relay batches suppressed by the (epoch, seq) guard
 
 	Contributions []PeerOriginStatus `json:"contributions,omitempty"` // stored sibling-analyzer state
@@ -94,11 +94,11 @@ type PeerOriginStatus struct {
 	Epoch  uint64 `json:"epoch"`
 	Seq    uint64 `json:"seq"`
 	// Tuples is the tuple count inside a stored contribution (0 for relay
-	// streams, whose tuples are already counted in the local shards).
+	// streams, whose tuples are already counted in the local state).
 	Tuples int64 `json:"tuples,omitempty"`
 }
 
-// DeliverPeerBatch folds one relay-forwarded batch into the local shards,
+// DeliverPeerBatch folds one relay-forwarded batch into the local state,
 // unless the per-origin guard has already seen (epoch, seq) — a retry or a
 // relay re-forwarding its WAL tail — in which case nothing is applied and
 // false is returned. Batches from one origin must arrive in seq order
@@ -245,13 +245,7 @@ func (s *Server) peerContributions() []*peerContribution {
 }
 
 // LocalVersion returns the mutation counter of the LOCAL state only —
-// shard ingestion, excluding peer merges. The peering loop keys its
+// local ingestion, excluding peer merges. The peering loop keys its
 // push-skipping on it: a node whose only change is inbound peer state has
 // nothing new to offer its peers.
-func (s *Server) LocalVersion() uint64 {
-	var v uint64
-	for i := range s.shards {
-		v += s.shards[i].version.Load()
-	}
-	return v
-}
+func (s *Server) LocalVersion() uint64 { return s.local.Load() }

@@ -21,7 +21,7 @@ func (g intDecoder) Decode(code int) []float64 {
 }
 
 func peerTestConfig() Config {
-	return Config{K: 8, Arms: 3, D: 2, Alpha: 1, Decoder: intDecoder{d: 2}, Shards: 1}
+	return Config{K: 8, Arms: 3, D: 2, Alpha: 1, Decoder: intDecoder{d: 2}}
 }
 
 // integralBatches ships {0,1} rewards: float64 addition over them is exact,

@@ -1,16 +1,12 @@
 // Exact export/import of the server's accumulators for durable
 // checkpoints.
 //
-// The export is merged-on-write: the per-shard additive accumulators are
-// summed in shard order into one flat state, exactly the way the snapshot
-// builders merge them. Importing loads the merged state into shard 0 and
-// leaves the other shards zero, so a snapshot taken after reload adds the
-// imported values to exact zeros — bit-identical to a snapshot of the
-// server that was exported. (Bit-identity across a crash additionally
-// requires the ingestion order to be reproduced, which the WAL guarantees
-// for sequential ingestion; under concurrent ingestion shard assignment is
-// scheduling-dependent and the recovered state equals some valid execution
-// of the same tuple multiset.)
+// The export copies the one local accumulator, exactly the values the
+// snapshot builders read, and importing loads those values back, so a
+// snapshot taken after reload is bit-identical to a snapshot of the server
+// that was exported. Bit-identity across a crash additionally requires the
+// ingestion order to be reproduced, which the WAL guarantees: the state is
+// a function of the order of Deliver and IngestRaw calls alone.
 package server
 
 import "fmt"
@@ -26,7 +22,7 @@ type LinAccumState struct {
 }
 
 // PersistedState is the exact serializable form of the server's model
-// state, merged across shards. It contains only additive sufficient
+// state. It contains only additive sufficient
 // statistics over anonymized tuples — no per-device information exists
 // anywhere in the server to leak. The centroid model is not part of it:
 // it is derived from the cells, so its shape is the same with or without
@@ -57,30 +53,19 @@ type PersistedState struct {
 	Relays map[string]PeerSeq `json:"relays,omitempty"`
 }
 
-func exportLinAccum(dst *LinAccumState, acc *linAccum, arms, d int) {
-	if dst.A == nil {
-		dst.A = make([][]float64, arms)
-		dst.B = make([][]float64, arms)
-		dst.N = make([]int64, arms)
-		for a := 0; a < arms; a++ {
-			dst.A[a] = make([]float64, d*d)
-			dst.B[a] = make([]float64, d)
-		}
-	}
+func exportLinAccum(acc *linAccum) LinAccumState {
+	arms := len(acc.a)
+	st := LinAccumState{A: make([][]float64, arms), B: make([][]float64, arms), N: make([]int64, arms)}
 	for a := 0; a < arms; a++ {
-		for i, v := range acc.a[a].Data {
-			dst.A[a][i] += v
-		}
-		for i, v := range acc.b[a] {
-			dst.B[a][i] += v
-		}
-		dst.N[a] += acc.n[a]
+		st.A[a] = append([]float64(nil), acc.a[a].Data...)
+		st.B[a] = append([]float64(nil), acc.b[a]...)
 	}
+	copy(st.N, acc.n)
+	return st
 }
 
-// ExportState returns the merged accumulator state. Shards are locked and
-// summed in index order — the same order the snapshot builders use — so the
-// exported values are bitwise the values a snapshot would have merged.
+// ExportState returns a copy of the accumulator state: bitwise the values a
+// snapshot build reads.
 func (s *Server) ExportState() *PersistedState {
 	ps := &PersistedState{
 		K:         s.cfg.K,
@@ -91,18 +76,14 @@ func (s *Server) ExportState() *PersistedState {
 		CellSum:   make([]float64, s.cfg.K*s.cfg.Arms),
 		Snapshots: s.snapshots.Load(),
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for j, c := range sh.cells {
-			ps.CellCount[j] += c.count
-			ps.CellSum[j] += c.sum
-		}
-		exportLinAccum(&ps.Lin, sh.lin, s.cfg.Arms, s.cfg.D)
-		ps.Tuples += sh.tuples
-		ps.Raw += sh.raw
-		sh.mu.Unlock()
+	s.mu.Lock()
+	for j, c := range s.cells {
+		ps.CellCount[j] = c.count
+		ps.CellSum[j] = c.sum
 	}
+	ps.Lin = exportLinAccum(s.lin)
+	ps.Tuples, ps.Raw = s.tuples, s.raw
+	s.mu.Unlock()
 	s.peers.mu.Lock()
 	if len(s.peers.relays) > 0 {
 		ps.Relays = make(map[string]PeerSeq, len(s.peers.relays))
@@ -134,9 +115,8 @@ func importLinAccum(acc *linAccum, st *LinAccumState, arms int) {
 	}
 }
 
-// ImportState loads an exported state into an empty server. The merged
-// values land in shard 0; the remaining shards stay zero, so snapshots after
-// the import reproduce the exported model bit-for-bit. Importing over a
+// ImportState loads an exported state into an empty server, so snapshots
+// after the import reproduce the exported model bit-for-bit. Importing over a
 // server that has already ingested anything is refused — recovery happens
 // on boot, before the listener opens.
 func (s *Server) ImportState(ps *PersistedState) error {
@@ -151,26 +131,19 @@ func (s *Server) ImportState(ps *PersistedState) error {
 	if err := ps.Lin.validate("lin", s.cfg.Arms, s.cfg.D); err != nil {
 		return err
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		empty := sh.tuples == 0 && sh.raw == 0
-		sh.mu.Unlock()
-		if !empty {
-			return fmt.Errorf("server: refusing to import state into a server that already ingested data")
-		}
+	s.mu.Lock()
+	if s.tuples != 0 || s.raw != 0 {
+		s.mu.Unlock()
+		return fmt.Errorf("server: refusing to import state into a server that already ingested data")
 	}
-
-	sh := &s.shards[0]
-	sh.mu.Lock()
-	for j := range sh.cells {
-		sh.cells[j] = tabCell{count: ps.CellCount[j], sum: ps.CellSum[j]}
+	for j := range s.cells {
+		s.cells[j] = tabCell{count: ps.CellCount[j], sum: ps.CellSum[j]}
 	}
-	importLinAccum(sh.lin, &ps.Lin, s.cfg.Arms)
-	sh.tuples = ps.Tuples
-	sh.raw = ps.Raw
-	sh.version.Add(1) // invalidate any cached empty snapshot
-	sh.mu.Unlock()
+	importLinAccum(s.lin, &ps.Lin, s.cfg.Arms)
+	s.tuples = ps.Tuples
+	s.raw = ps.Raw
+	s.local.Add(1) // invalidate any cached empty snapshot
+	s.mu.Unlock()
 	s.peers.mu.Lock()
 	for origin, pos := range ps.Relays {
 		s.peers.relays[origin] = pos

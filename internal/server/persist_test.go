@@ -34,7 +34,7 @@ func randomBatches(n, batch, k, arms int, seed uint64) [][]transport.Tuple {
 }
 
 func TestExportImportRoundTripBitIdentical(t *testing.T) {
-	cfg := Config{K: 16, Arms: 4, D: 3, Alpha: 1.2, Decoder: gridDecoder{d: 3}, Shards: 1}
+	cfg := Config{K: 16, Arms: 4, D: 3, Alpha: 1.2, Decoder: gridDecoder{d: 3}}
 	a := New(cfg)
 	for _, batch := range randomBatches(7, 33, cfg.K, cfg.Arms, 5) {
 		a.Deliver(batch)
@@ -62,10 +62,9 @@ func TestExportImportRoundTripBitIdentical(t *testing.T) {
 }
 
 // Importing a prefix's state and then ingesting the suffix must reproduce an
-// uninterrupted run bit-for-bit (sequential ingestion, so every write lands
-// on the same shard in the same order).
+// uninterrupted run bit-for-bit.
 func TestImportThenContinueMatchesCleanRun(t *testing.T) {
-	cfg := Config{K: 8, Arms: 3, D: 2, Alpha: 1, Decoder: gridDecoder{d: 2}, Shards: 4}
+	cfg := Config{K: 8, Arms: 3, D: 2, Alpha: 1, Decoder: gridDecoder{d: 2}}
 	batches := randomBatches(10, 21, cfg.K, cfg.Arms, 11)
 
 	clean := New(cfg)
@@ -88,11 +87,11 @@ func TestImportThenContinueMatchesCleanRun(t *testing.T) {
 	assertSnapshotsBitIdentical(t, clean, resumed)
 }
 
-// Export merges shards in the same order as the snapshot builders, so even
-// after genuinely concurrent multi-shard ingestion, export → import →
-// snapshot reproduces the source server's own snapshot bit-for-bit.
+// Export copies the values the snapshot builders read, so even after
+// genuinely concurrent ingestion, export → import → snapshot reproduces the
+// source server's own snapshot bit-for-bit.
 func TestExportMergesConcurrentShardsExactly(t *testing.T) {
-	cfg := Config{K: 8, Arms: 3, D: 2, Alpha: 1, Shards: 4}
+	cfg := Config{K: 8, Arms: 3, D: 2, Alpha: 1}
 	a := New(cfg)
 	batches := randomBatches(32, 17, cfg.K, cfg.Arms, 13)
 	var wg sync.WaitGroup
@@ -115,7 +114,7 @@ func TestExportMergesConcurrentShardsExactly(t *testing.T) {
 }
 
 func TestImportValidation(t *testing.T) {
-	cfg := Config{K: 4, Arms: 2, D: 2, Alpha: 1, Shards: 1}
+	cfg := Config{K: 4, Arms: 2, D: 2, Alpha: 1}
 	src := New(cfg)
 	src.Deliver([]transport.Tuple{{Code: 1, Action: 1, Reward: 0.5}})
 	good := src.ExportState()

@@ -14,17 +14,15 @@
 // third model — LinUCB over decoded codes — is derived from the tabular
 // cells at snapshot time; it has no accumulator of its own.
 //
-// # Sharded ingestion
+// # One accumulator
 //
-// Ingestion does not funnel through one global lock: the server keeps a
-// configurable number of shards, each holding its own additive accumulators
-// (tabular (count, sum) cells, and per-arm (sum x x^T, sum r x, n) for the
-// raw-context model). A Deliver or IngestRaw call locks exactly one shard —
-// chosen round-robin — so concurrent calls from worker goroutines proceed
-// in parallel. Snapshots merge the shards on read; because all accumulators
-// are additive, the merge is exact. Merged snapshots are cached against a
-// mutation version counter, so the common many-snapshots-between-batches
-// pattern costs one merge plus cheap copies.
+// The server keeps one set of additive accumulators — tabular (count, sum)
+// cells, and per-arm (sum x x^T, sum r x, n) for the raw-context model —
+// behind one mutex. Deliver, IngestRaw, the snapshot builders and the
+// export all take it, so the accumulated floats depend only on the order
+// of the ingestion calls, never on how reads interleave with them.
+// Snapshots are cached against a mutation version counter, so the common
+// many-snapshots-between-batches pattern costs one build plus cheap copies.
 package server
 
 import (
@@ -59,10 +57,6 @@ type Config struct {
 	// over Decode(code) contexts, derived from the tabular cells at
 	// snapshot time (see CentroidModel). Ingestion never calls it.
 	Decoder Decoder
-	// Shards is the number of ingestion shards (default: GOMAXPROCS,
-	// capped at 16). More shards admit more concurrent Deliver/IngestRaw
-	// calls at the cost of proportionally more accumulator memory.
-	Shards int
 }
 
 // Stats counts what the server has ingested and how the snapshot read
@@ -79,9 +73,9 @@ type Stats struct {
 
 // linAccum is an additive sufficient-statistics accumulator for one LinUCB
 // model: per arm, the outer-product sum (without the identity ridge), the
-// reward-weighted context sum and the observation count. Accumulators from
-// different shards merge by plain addition; the ridge identity and the
-// matrix inverse are applied once at snapshot time.
+// reward-weighted context sum and the observation count. Peer accumulators
+// merge into it by plain addition; the ridge identity and the matrix
+// inverse are applied once at snapshot time.
 type linAccum struct {
 	a []*mat.Dense
 	b []mat.Vec
@@ -115,38 +109,26 @@ type tabCell struct {
 	sum   float64
 }
 
-// shard is one stripe of the global model. All fields but version are
-// guarded by mu.
-type shard struct {
-	mu      sync.Mutex
-	cells   []tabCell // (code, action) cells, indexed code*Arms+action
-	lin     *linAccum // raw-context baseline model
-	tuples  int64     // encoded tuples folded into this shard
-	raw     int64     // raw tuples folded into this shard
-	version atomic.Uint64
-	_       [8]uint64 // padding to keep shard locks off shared cache lines
-}
-
 // Server aggregates interaction reports into global models. All methods
 // are safe for concurrent use.
 type Server struct {
 	cfg   Config
 	epoch uint64 // boot nonce qualifying ModelVersion across restarts
 
-	shards []shard
-	// hint is the shard an uncontended caller keeps reusing. Affinity
-	// matters: consecutive batches from one goroutine then land in cells
-	// that are already cache-hot, and a lone caller stays deterministic.
-	// Contention moves callers to other shards via TryLock.
-	hint      atomic.Uint32
+	// mu guards the local accumulators below.
+	mu     sync.Mutex
+	cells  []tabCell // (code, action) cells, indexed code*Arms+action
+	lin    *linAccum // raw-context baseline model
+	tuples int64     // encoded tuples folded in
+	raw    int64     // raw tuples folded in
+	// local counts local mutations. It is bumped under mu and read without
+	// it.
+	local atomic.Uint64
+
 	snapshots atomic.Int64
-	// Atomic mirrors of the ingestion counters, maintained alongside the
-	// mu-guarded per-shard fields: telemetry scrapes (and anything else
-	// that wants a cheap read) get lock-free totals without sweeping the
-	// shard locks like full Stats does. One atomic add per Deliver batch,
-	// not per tuple.
-	delivered  atomic.Int64 // tuples folded by Deliver
-	contention atomic.Int64 // acquireShard calls that left their hint shard
+	// delivered is the atomic mirror of tuples: telemetry scrapes read it
+	// without taking mu. One atomic add per Deliver batch, not per tuple.
+	delivered atomic.Int64
 
 	tabCache  snapshotCache[*bandit.TabularState]
 	linCache  snapshotCache[*bandit.LinUCBState]
@@ -210,65 +192,23 @@ func New(cfg Config) *Server {
 	if cfg.K <= 0 || cfg.Arms <= 0 || cfg.D <= 0 {
 		panic(fmt.Sprintf("server: invalid config K=%d Arms=%d D=%d", cfg.K, cfg.Arms, cfg.D))
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-		if cfg.Shards > 16 {
-			cfg.Shards = 16
-		}
-	}
 	s := &Server{
 		cfg:     cfg,
 		epoch:   uint64(epochClock().UnixNano()),
-		shards:  make([]shard, cfg.Shards),
+		cells:   make([]tabCell, cfg.K*cfg.Arms),
+		lin:     newLinAccum(cfg.Arms, cfg.D),
 		changed: make(chan struct{}, 1),
 	}
 	s.peers.contribs = make(map[string]*peerContribution)
 	s.peers.relays = make(map[string]PeerSeq)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.cells = make([]tabCell, cfg.K*cfg.Arms)
-		sh.lin = newLinAccum(cfg.Arms, cfg.D)
-	}
 	return s
 }
 
-// acquireShard returns a locked shard. It first tries the hint shard and,
-// when that is contended, the remaining shards in order, settling the hint
-// on whichever lock it wins; if every shard is busy it blocks on the hint.
-// A single caller therefore always lands on the same warm shard, while
-// concurrent callers spread across shards automatically.
-func (s *Server) acquireShard() *shard {
-	n := uint32(len(s.shards))
-	hint := s.hint.Load() % n
-	for i := uint32(0); i < n; i++ {
-		idx := (hint + i) % n
-		sh := &s.shards[idx]
-		if sh.mu.TryLock() {
-			if i != 0 {
-				// The hint shard was contended: count the displacement. The
-				// counter growing in step with Deliver calls means the shard
-				// count, not the models, is the ingestion bottleneck.
-				s.contention.Add(1)
-				s.hint.Store(idx)
-			}
-			return sh
-		}
-	}
-	s.contention.Add(1)
-	sh := &s.shards[hint]
-	sh.mu.Lock()
-	return sh
-}
-
-// version returns a counter that changes on every mutation — local shard
+// version returns a counter that changes on every mutation — local
 // ingestion or an applied peer merge — keying the snapshot caches and the
 // model ETag.
 func (s *Server) version() uint64 {
-	var v uint64
-	for i := range s.shards {
-		v += s.shards[i].version.Load()
-	}
-	return v + s.peers.version.Load()
+	return s.local.Load() + s.peers.version.Load()
 }
 
 // ModelVersion returns the monotonic version of the global models: it
@@ -289,13 +229,12 @@ func (s *Server) ModelEpoch() uint64 { return s.epoch }
 // Deliver folds one shuffled batch into the tabular global model (from
 // which the centroid model is derived). It implements shuffler.Sink: the
 // batch is only read during the call, so the shuffler is free to reuse its
-// buffer afterwards. The whole batch lands in a single shard; concurrent
-// Deliver calls proceed on distinct shards in parallel.
+// buffer afterwards.
 func (s *Server) Deliver(batch []transport.Tuple) {
-	sh := s.acquireShard()
+	s.mu.Lock()
 	k, arms := uint(s.cfg.K), uint(s.cfg.Arms)
 	narms := s.cfg.Arms
-	cells := sh.cells
+	cells := s.cells
 	ingested := int64(0)
 	// One bounds check, one cache line and a branchless clamp per tuple.
 	// Malformed tuples (buggy or malicious clients) are dropped rather than
@@ -310,9 +249,9 @@ func (s *Server) Deliver(batch []transport.Tuple) {
 		cell.sum += clampReward(t.Reward)
 		ingested++
 	}
-	sh.tuples += ingested
-	sh.version.Add(1)
-	sh.mu.Unlock()
+	s.tuples += ingested
+	s.local.Add(1)
+	s.mu.Unlock()
 	s.signalChanged()
 	s.delivered.Add(ingested)
 }
@@ -335,11 +274,11 @@ func (s *Server) IngestRaw(t transport.RawTuple) error {
 			return fmt.Errorf("server: raw context component %d is not finite", i)
 		}
 	}
-	sh := s.acquireShard()
-	sh.lin.add(t.Context, t.Action, clampReward(t.Reward))
-	sh.raw++
-	sh.version.Add(1)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.lin.add(t.Context, t.Action, clampReward(t.Reward))
+	s.raw++
+	s.local.Add(1)
+	s.mu.Unlock()
 	s.signalChanged()
 	return nil
 }
@@ -392,16 +331,13 @@ func (s *Server) buildTabular() *bandit.TabularState {
 		Count: make([]float64, s.cfg.K*s.cfg.Arms),
 		Sum:   make([]float64, s.cfg.K*s.cfg.Arms),
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for j, c := range sh.cells {
-			st.Count[j] += c.count
-			st.Sum[j] += c.sum
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	for j, c := range s.cells {
+		st.Count[j] = c.count
+		st.Sum[j] = c.sum
 	}
-	// Peer contributions fold after the local shards, in sorted origin
+	s.mu.Unlock()
+	// Peer contributions fold after the local cells, in sorted origin
 	// order, so a given contribution set always merges the same way.
 	for _, pc := range s.peerContributions() {
 		for j := range st.Count {
@@ -481,21 +417,17 @@ func (s *Server) buildCentroid(tab *bandit.TabularState) *bandit.LinUCBState {
 	return s.linSnapshot(acc)
 }
 
-// buildLin merges the raw-context accumulator across shards, then folds
-// the baseline accumulator of every stored peer contribution in sorted
-// origin order.
+// buildLin copies the raw-context accumulator, then folds the baseline
+// accumulator of every stored peer contribution in sorted origin order.
 func (s *Server) buildLin() *bandit.LinUCBState {
 	acc := newLinAccum(s.cfg.Arms, s.cfg.D)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for a := range acc.a {
-			acc.a[a].Add(sh.lin.a[a])
-			acc.b[a].AddScaled(1, sh.lin.b[a])
-			acc.n[a] += sh.lin.n[a]
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	for a := range acc.a {
+		copy(acc.a[a].Data, s.lin.a[a].Data)
+		copy(acc.b[a], s.lin.b[a])
+		acc.n[a] = s.lin.n[a]
 	}
+	s.mu.Unlock()
 	for _, pc := range s.peerContributions() {
 		peer := &pc.state.Lin
 		for a := range acc.a {
@@ -538,10 +470,9 @@ func (s *Server) linSnapshot(acc *linAccum) *bandit.LinUCBState {
 // GOMAXPROCS.
 //
 // The ridge is applied after the merge, not before: the outer-product sums
-// then accumulate in pure shard order, so a merged-on-write export (which
-// sums shards the same way) is bit-identical to what this builder sees.
-// Seeding with the identity would entangle the ridge with the merge's
-// rounding.
+// then hold exactly the values an export carries, so an export imported
+// elsewhere rebuilds bit-identical matrices. Seeding with the identity
+// would entangle the ridge with the merge's rounding.
 func invertArms(st *bandit.LinUCBState, aSum []*mat.Dense, d, workers int) {
 	arms := len(aSum)
 	errs := make([]error, arms)
@@ -596,17 +527,15 @@ func invertArms(st *bandit.LinUCBState, aSum []*mat.Dense, d, workers int) {
 	}
 }
 
-// IngestCounters returns lock-free ingestion totals: tuples delivered
-// through the privacy pipeline and how many shard acquisitions were
-// displaced by contention. These are the atomic mirrors telemetry scrapes
-// read, so a /metrics pull never serializes against Deliver the way a full
-// Stats sweep would.
-func (s *Server) IngestCounters() (delivered, contention int64) {
-	return s.delivered.Load(), s.contention.Load()
+// IngestCounters returns the lock-free total of tuples delivered through
+// the privacy pipeline. It is the atomic mirror telemetry scrapes read, so
+// a /metrics pull never serializes against Deliver the way Stats does.
+func (s *Server) IngestCounters() (delivered int64) {
+	return s.delivered.Load()
 }
 
 // SnapshotCacheStats returns just the snapshot-cache counters. Unlike
-// Stats it touches no ingestion shard — the counters are atomics — so
+// Stats it takes no lock — the counters are atomics — so
 // high-frequency probes (every device's /healthz preflight) never
 // serialize against Deliver/IngestRaw on the hot path.
 func (s *Server) SnapshotCacheStats() (hits, builds int64) {
@@ -619,18 +548,13 @@ func (s *Server) SnapshotCacheStats() (hits, builds int64) {
 func (s *Server) Stats() Stats {
 	st := Stats{Snapshots: s.snapshots.Load()}
 	st.SnapshotHits, st.SnapshotBuilds = s.SnapshotCacheStats()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		st.TuplesIngested += sh.tuples
-		st.RawIngested += sh.raw
-		sh.mu.Unlock()
-	}
+	s.mu.Lock()
+	st.TuplesIngested, st.RawIngested = s.tuples, s.raw
+	s.mu.Unlock()
 	return st
 }
 
-// Config returns the server's model shapes (with the shard default
-// filled in).
+// Config returns the server's model shapes.
 func (s *Server) Config() Config { return s.cfg }
 
 // clampReward bounds client-reported rewards. The nominal bandit reward is

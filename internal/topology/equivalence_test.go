@@ -7,8 +7,8 @@
 // integral rewards and integer-valued sums make every accumulator addition
 // exact, so addition is associative and fold order cannot matter; uniform
 // batches keep the crowd-blending threshold from dropping different
-// multisets on different nodes; -shards 1 removes scheduling
-// nondeterminism inside each server.
+// multisets on different nodes; each server folds batches into its one
+// accumulator in arrival order.
 package topology_test
 
 import (
@@ -32,14 +32,14 @@ const (
 	eqBatch, eqThr   = 8, 4
 )
 
-// eqConfig is one fleet member under the exactness conditions: a single
-// ingestion shard, the shared batch size and threshold, and its own
-// shuffler seed (fold order must not matter, so every node gets another).
+// eqConfig is one fleet member under the exactness conditions: the shared
+// batch size and threshold, and its own shuffler seed (fold order must not
+// matter, so every node gets another).
 func eqConfig(role topology.Role, name string, seed uint64) node.Config {
 	return node.Config{
 		Role:     role,
 		Name:     name,
-		Server:   server.Config{K: eqK, Arms: eqArms, D: eqD, Alpha: 1, Seed: seed, Shards: 1},
+		Server:   server.Config{K: eqK, Arms: eqArms, D: eqD, Alpha: 1, Seed: seed},
 		Shuffler: shuffler.Config{BatchSize: eqBatch, Threshold: eqThr},
 	}
 }

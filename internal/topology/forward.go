@@ -176,12 +176,7 @@ func (f *Forwarder) Deliver(batch []transport.Tuple) {
 		}
 	}
 	f.seq++
-	f.enc = transport.AppendMagic(f.enc[:0])
-	e := transport.Envelope{}
-	for _, t := range batch {
-		e.Tuple = t
-		f.enc = e.AppendFrame(f.enc)
-	}
+	f.enc = transport.AppendTuples(f.enc[:0], batch)
 	applied, err := f.sendLocked(f.seq, f.enc, len(batch))
 	if err != nil {
 		f.stats.Dropped++

@@ -4,7 +4,7 @@
 // an optional pull-based digest round that heals what the pushes missed.
 //
 // The exchange is state replacement, not delta shipping: every push
-// carries the full merged export of the sender's own shards (what the
+// carries the full export of the sender's own accumulator (what the
 // sender ingested itself — relay batches and direct reports — never what
 // it learned from peers), tagged (origin, epoch, seq). The receiver
 // stores at most one contribution per origin and replaces it when a
@@ -111,11 +111,11 @@ type PeeringOptions struct {
 	Interval time.Duration
 	// Token, when non-empty, authenticates pushes as a bearer token.
 	Token string
-	// Export returns the analyzer's current LOCAL state (its own shards
-	// only, never peer contributions — exporting those would echo every
-	// peer's data back at it through third parties, and while replacement
-	// semantics keep that correct, it wastes bandwidth and muddies origin
-	// accounting). Required.
+	// Export returns the analyzer's current LOCAL state (its own
+	// accumulator only, never peer contributions — exporting those would
+	// echo every peer's data back at it through third parties, and while
+	// replacement semantics keep that correct, it wastes bandwidth and
+	// muddies origin accounting). Required.
 	Export func() *server.PersistedState
 	// LocalVersion returns a counter that changes whenever local state
 	// changes; unchanged versions skip the push. It doubles as the push

@@ -24,7 +24,7 @@ import (
 func BenchmarkPeeringRound(b *testing.B) {
 	for _, shape := range []struct{ k, arms, d int }{{64, 8, 10}, {1024, 20, 10}} {
 		b.Run(fmt.Sprintf("k=%d/arms=%d/d=%d", shape.k, shape.arms, shape.d), func(b *testing.B) {
-			cfg := server.Config{K: shape.k, Arms: shape.arms, D: shape.d, Alpha: 1, Shards: 1}
+			cfg := server.Config{K: shape.k, Arms: shape.arms, D: shape.d, Alpha: 1}
 			sender, receiver := server.New(cfg), server.New(cfg)
 			// Every cell populated with non-integral sums, as after real traffic:
 			// an all-zero state marshals to a fraction of the bytes.

@@ -83,7 +83,7 @@ func allocated(fn func()) uint64 {
 // and what it accepts re-encodes to the same bytes, so no float is rounded
 // and no body has two readings.
 func FuzzDecodePeerUpdate(f *testing.F) {
-	srv := server.New(server.Config{K: 4, Arms: 2, D: 2, Alpha: 1, Shards: 1})
+	srv := server.New(server.Config{K: 4, Arms: 2, D: 2, Alpha: 1})
 	srv.Deliver([]transport.Tuple{{Code: 1, Action: 1, Reward: 0.5}, {Code: 3, Action: 0, Reward: -1}})
 	if err := srv.IngestRaw(transport.RawTuple{Context: []float64{0.25, -2}, Action: 1, Reward: 1}); err != nil {
 		f.Fatal(err)

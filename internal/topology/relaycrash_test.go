@@ -5,7 +5,7 @@
 // the fleet model stays byte-identical to an uninterrupted run.
 //
 // The exactness conditions are the equivalence test's: integral {0,1}
-// rewards, uniform one-shuffler-batch submissions, single-shard servers.
+// rewards and uniform one-shuffler-batch submissions.
 package topology_test
 
 import (

@@ -92,7 +92,7 @@ func (c *changeStream) run(d time.Duration) {
 // within a test's lifetime is c, unless interval says otherwise.
 func startTriggered(t *testing.T, c *changeStream, peer string, interval time.Duration) *Peering {
 	t.Helper()
-	srv := server.New(server.Config{K: 8, Arms: 3, D: 2, Alpha: 1, Shards: 1})
+	srv := server.New(server.Config{K: 8, Arms: 3, D: 2, Alpha: 1})
 	p, err := NewPeering(PeeringOptions{
 		Origin:       "a1",
 		Peers:        []string{peer},

@@ -55,6 +55,19 @@ var (
 // AppendMagic appends the stream header to dst.
 func AppendMagic(dst []byte) []byte { return append(dst, Magic...) }
 
+// AppendTuples appends one complete batch stream carrying tuples to dst:
+// the magic, then one zero-metadata frame per tuple. It is the encoding of
+// every identity-free tuple stream — WAL records, relay forwards, replays.
+func AppendTuples(dst []byte, tuples []Tuple) []byte {
+	dst = AppendMagic(dst)
+	e := Envelope{}
+	for _, t := range tuples {
+		e.Tuple = t
+		dst = e.AppendFrame(dst)
+	}
+	return dst
+}
+
 // uvarintLen returns the encoded size of v as a uvarint.
 func uvarintLen(v uint64) int {
 	n := 1

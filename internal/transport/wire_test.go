@@ -229,3 +229,103 @@ func TestWireNonFiniteRewardSurvivesCodec(t *testing.T) {
 		t.Fatalf("NaN reward decoded as %v", got[0].Tuple.Reward)
 	}
 }
+
+// readEnvelopes decodes a batch stream with Next up to its first error;
+// err is nil exactly when the stream ended cleanly.
+func readEnvelopes(data []byte) (envs []Envelope, err error) {
+	fr, err := NewFrameReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	for {
+		var e Envelope
+		if err := fr.Next(&e); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return envs, err
+		}
+		envs = append(envs, e)
+	}
+}
+
+// readTuples is readEnvelopes through the identity-skipping NextTuple.
+func readTuples(data []byte) (tuples []Tuple, err error) {
+	fr, err := NewFrameReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	for {
+		var t Tuple
+		if err := fr.NextTuple(&t); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return tuples, err
+		}
+		tuples = append(tuples, t)
+	}
+}
+
+func sameTuple(a, b Tuple) bool {
+	return a.Code == b.Code && a.Action == b.Action && math.Float64bits(a.Reward) == math.Float64bits(b.Reward)
+}
+
+func sameEnvelope(a, b Envelope) bool {
+	return a.Meta == b.Meta && sameTuple(a.Tuple, b.Tuple)
+}
+
+// FuzzFrameReader holds the P2B1 batch decoder to what every decoder of
+// untrusted bytes owes: it never panics and allocates at most a constant
+// multiple of its input. On top of that, NextTuple — which skips the
+// metadata unread — must agree with Next on every tuple Next accepts, and
+// the envelopes Next accepts must survive AppendFrame and a second decode
+// unchanged. The stream need not re-encode to its own bytes: P2B1 accepts
+// non-minimal varints and an explicit all-empty metadata section, so some
+// envelopes have more than one encoding. The seeds are the SDK's golden
+// report bodies (agent/testdata/wire_golden.txt).
+func FuzzFrameReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		grew := allocated(func() {
+			if fr, err := NewFrameReader(bytes.NewReader(data)); err == nil {
+				var e Envelope
+				for fr.Next(&e) == nil {
+				}
+			}
+		})
+		if limit := 64<<10 + 8*uint64(len(data)); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, limit)
+		}
+
+		envs, envErr := readEnvelopes(data)
+		tuples, tupleErr := readTuples(data)
+		if len(tuples) < len(envs) {
+			t.Fatalf("NextTuple stopped after %d tuples (%v), Next read %d envelopes", len(tuples), tupleErr, len(envs))
+		}
+		for i, e := range envs {
+			if !sameTuple(e.Tuple, tuples[i]) {
+				t.Fatalf("frame %d: Next read %+v, NextTuple %+v", i, e.Tuple, tuples[i])
+			}
+		}
+		if envErr == nil && (tupleErr != nil || len(tuples) != len(envs)) {
+			t.Fatalf("Next read a clean stream of %d envelopes, NextTuple %d tuples (%v)", len(envs), len(tuples), tupleErr)
+		}
+
+		buf := AppendMagic(nil)
+		for i := range envs {
+			buf = envs[i].AppendFrame(buf)
+		}
+		again, err := readEnvelopes(buf)
+		if err != nil {
+			t.Fatalf("re-encoded stream refused: %v", err)
+		}
+		if len(again) != len(envs) {
+			t.Fatalf("re-encoded stream decodes to %d envelopes, want %d", len(again), len(envs))
+		}
+		for i := range envs {
+			if !sameEnvelope(again[i], envs[i]) {
+				t.Fatalf("frame %d: re-encoded as %+v, accepted as %+v", i, again[i], envs[i])
+			}
+		}
+	})
+}

@@ -19,7 +19,7 @@
 # runs -inflight 1 (retried batches still arrive in cut order) with
 # -max-age well past the run (only deterministic size-triggered cuts),
 # -model-refresh 0 pins every device to the one warm-start model fetch,
-# and the node ingests single-sharded from a fixed seed. Faults change
+# and the node ingests into one accumulator from a fixed seed. Faults change
 # WHEN things happen, never WHAT arrives.
 set -euo pipefail
 
@@ -48,7 +48,7 @@ cleanup() {
 trap cleanup EXIT
 
 MODEL_FLAGS=(-k 64 -arms 20 -d 10)
-NODE_FLAGS=("${MODEL_FLAGS[@]}" -threshold 4 -batch 64 -seed 5 -shards 1)
+NODE_FLAGS=("${MODEL_FLAGS[@]}" -threshold 4 -batch 64 -seed 5)
 # The determinism contract: serial delivery, size-triggered cuts only,
 # one warm-start model fetch, deep retry budget for the fault stream.
 AGENT_FLAGS=("${MODEL_FLAGS[@]}" -users 300 -T 8 -p 0.5 -seed 7 -report-every 0

@@ -15,9 +15,10 @@
 #     byte-for-byte: kill -9 during ingest, then restart, yields a model
 #     bit-identical to an uninterrupted run over the same input.
 #
-# The node runs -shards 1 -wal-sync 0: single-shard ingestion makes
-# accumulation order fully deterministic, and per-append fsync makes every
-# acked report durable, so the equivalence is exact, not approximate.
+# The node runs -wal-sync 0: its one accumulator folds batches in WAL
+# order, so accumulation order is fully deterministic, and per-append fsync
+# makes every acked report durable, so the equivalence is exact, not
+# approximate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.." || exit 1
@@ -38,7 +39,7 @@ cleanup() {
 trap cleanup EXIT
 
 MODEL_FLAGS=(-k 64 -arms 20 -d 10)
-NODE_FLAGS=("${MODEL_FLAGS[@]}" -threshold 4 -batch 64 -seed 5 -shards 1)
+NODE_FLAGS=("${MODEL_FLAGS[@]}" -threshold 4 -batch 64 -seed 5)
 
 echo "== building =="
 go build -o "$WORK/bin/" ./cmd/p2bnode ./cmd/p2bagent ./cmd/p2bwal

@@ -21,8 +21,8 @@
 #     double-counted report.
 #
 # Exactness conditions as in topology_equiv.sh: integral {0,1} rewards,
-# uniform one-shuffler-batch submissions, -shards 1 everywhere, and
-# -wal-sync 0 on the relay so every acked batch is durable.
+# uniform one-shuffler-batch submissions, and -wal-sync 0 on the relay so
+# every acked batch is durable.
 set -euo pipefail
 
 cd "$(dirname "$0")/.." || exit 1
@@ -51,7 +51,7 @@ trap cleanup EXIT
 
 K=64; ARMS=8; D=10; THRESHOLD=4; BATCH=32; NBATCH=40
 TOKEN="relay-crash-token"
-NODE_FLAGS=(-k $K -arms $ARMS -d $D -threshold $THRESHOLD -batch $BATCH -seed 5 -shards 1)
+NODE_FLAGS=(-k $K -arms $ARMS -d $D -threshold $THRESHOLD -batch $BATCH -seed 5)
 
 echo "== building =="
 go build -o "$WORK/bin/" ./cmd/p2bnode

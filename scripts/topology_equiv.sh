@@ -13,8 +13,9 @@
 # rewards (float64 addition over them is exact, hence associative, hence
 # fold-order-free), every submitted batch is uniform in (code, action) and
 # exactly one shuffler batch long (the crowd threshold keeps all of it on
-# whichever node shuffles it), every node runs -shards 1, and analyzers
-# fold peer contributions in sorted origin order. See DESIGN.md
+# whichever node shuffles it), every node folds batches into one
+# accumulator in arrival order, and analyzers fold peer contributions in
+# sorted origin order. See DESIGN.md
 # "Multi-node topology".
 set -euo pipefail
 
@@ -48,7 +49,7 @@ trap cleanup EXIT
 
 K=64; ARMS=8; D=10; THRESHOLD=4; BATCH=32; NBATCH=40
 TOKEN="topo-ci-token"
-NODE_FLAGS=(-k $K -arms $ARMS -d $D -threshold $THRESHOLD -batch $BATCH -seed 5 -shards 1)
+NODE_FLAGS=(-k $K -arms $ARMS -d $D -threshold $THRESHOLD -batch $BATCH -seed 5)
 
 echo "== building =="
 go build -o "$WORK/bin/" ./cmd/p2bnode ./cmd/p2bboard
