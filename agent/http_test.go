@@ -209,6 +209,21 @@ func TestHTTPSourceCacheReadsDoNotBlockOnFetch(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cached Model calls blocked behind an in-flight fetch of another kind")
 	}
+	// Release only once the second Refresh has joined the stalled fetch: a
+	// goroutine scheduled after the release would start a fetch of its own.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		src.mu.Lock()
+		f := src.inflight[ModelLinUCB]
+		joined := f != nil && f.joiners == 1
+		src.mu.Unlock()
+		if joined {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the second Refresh never joined the in-flight fetch")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {

@@ -57,8 +57,9 @@ type sourceEntry struct {
 // inflightFetch dedups concurrent fetches of one kind: joiners wait on
 // done and share the fetch's outcome instead of stampeding the node.
 type inflightFetch struct {
-	done chan struct{}
-	err  error // valid after done is closed
+	done    chan struct{}
+	err     error // valid after done is closed
+	joiners int   // Refresh calls waiting on done, guarded by HTTPSource.mu
 }
 
 // HTTPSource serves versioned global models from a p2bnode with local
@@ -148,6 +149,7 @@ func (s *HTTPSource) Model(kind ModelKind) (Model, error) {
 func (s *HTTPSource) Refresh(kind ModelKind) error {
 	s.mu.Lock()
 	if f, ok := s.inflight[kind]; ok {
+		f.joiners++
 		s.mu.Unlock()
 		<-f.done
 		return f.err

@@ -1,5 +1,6 @@
 // Binary form of PersistedState: the state body of a P2BS peer update
-// (internal/topology), which both anti-entropy paths carry. It follows
+// (internal/topology), which both anti-entropy paths carry, and of a
+// checkpoint (internal/persist), which adds Relays itself. It follows
 // the P2BM conventions — uvarint shapes and counters, raw little-endian
 // float64 cells — so a contribution merged from the wire is bit-identical
 // to the sender's export:

@@ -1,7 +1,8 @@
 // Decoding of the single-message binary formats: the P2BM model stream
-// (modelwire.go) and the P2BS peer state (internal/topology, with its
-// state body in internal/server). Unlike a P2B1 batch stream, each arrives
-// as one fully read body, so its decoder walks a byte slice.
+// (modelwire.go), the P2BS peer state (internal/topology, with its state
+// body in internal/server) and the checkpoint body (internal/persist).
+// Unlike a P2B1 batch stream, each arrives as one fully read body, so its
+// decoder walks a byte slice.
 //
 // Two rules give every accepted message exactly one encoding, which is
 // what lets a fuzzer check decode∘encode = identity: a uvarint must use
