@@ -6,7 +6,6 @@
 package p2b_test
 
 import (
-	"fmt"
 	"testing"
 
 	"p2b/agent"
@@ -208,21 +207,13 @@ func BenchmarkKMeansEncodeNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkKMeansFit measures encoder fitting (k=256 on 4096 points) at
-// several assignment worker counts.
+// BenchmarkKMeansFit measures encoder fitting (k=256 on 4096 points).
 func BenchmarkKMeansFit(b *testing.B) {
 	xs := benchContexts(4096, 10)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := encoding.FitKMeansOptions(xs, 256, encoding.FitOptions{
-					MaxIter: 10, Tol: 1e-6, Workers: workers,
-				}, rng.New(2))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := encoding.FitKMeans(xs, 256, 10, 1e-6, rng.New(2)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -381,7 +372,7 @@ func BenchmarkSimulatedUser(b *testing.B) {
 	for _, mode := range []core.Mode{core.Cold, core.WarmNonPrivate, core.WarmPrivate} {
 		b.Run(mode.String(), func(b *testing.B) {
 			sys, err := core.NewSystem(core.Config{
-				Mode: mode, T: 10, P: 0.5, K: 64, Threshold: 2, Workers: 1, Seed: 5,
+				Mode: mode, T: 10, P: 0.5, K: 64, Threshold: 2, Seed: 5,
 			}, env, nil)
 			if err != nil {
 				b.Fatal(err)

@@ -11,6 +11,11 @@
 // reaches the paper's full sizes (e.g. -scale 100 for Figure 4's 10^6
 // users).
 //
+// -workers sets how many independent cells of an experiment (one simulated
+// deployment each) run at once; stdout at a fixed -seed and -scale is
+// byte-identical at any -workers. For http-pipeline and model_path it is
+// the HTTP client concurrency, and their output is timing.
+//
 // With -json, each experiment additionally writes a machine-readable
 // BENCH_<id>.json file (schema below) so successive PRs can diff result
 // and runtime trajectories without scraping text tables.
@@ -89,7 +94,7 @@ func main() {
 		name     = flag.String("experiment", "", "experiment id (see -list) or 'all'")
 		scale    = flag.Float64("scale", 1, "population scale factor (1 = seconds-fast, larger = closer to paper scale)")
 		seed     = flag.Uint64("seed", 20200302, "root random seed")
-		workers  = flag.Int("workers", 8, "simulation worker goroutines")
+		workers  = flag.Int("workers", 8, "experiment cells run at once (results do not depend on it; HTTP client concurrency for http-pipeline and model_path)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut  = flag.Bool("json", false, "also write BENCH_<experiment>.json files")
 		outDir   = flag.String("out", ".", "directory for -json output files")

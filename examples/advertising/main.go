@@ -45,7 +45,6 @@ func main() {
 				K:            1 << 5, // the paper's k = 2^5 panel
 				Threshold:    10,
 				ReportWindow: 10, // one reporting opportunity per 10 reads
-				Workers:      8,
 				Seed:         3,
 			}, env, nil)
 			if err != nil {

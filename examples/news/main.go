@@ -56,7 +56,6 @@ func main() {
 			// private agents pool observations through the centroid
 			// learner (see the Learner docs).
 			PrivateLearner: p2b.LearnerCentroid,
-			Workers:        8,
 			Seed:           7,
 		}, env, nil)
 		if err != nil {

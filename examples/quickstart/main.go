@@ -33,7 +33,6 @@ func main() {
 		P:         0.5,
 		K:         1 << 4,
 		Threshold: 10,
-		Workers:   8,
 		Seed:      1,
 	}, env, nil)
 	if err != nil {
@@ -42,7 +41,7 @@ func main() {
 
 	// A cold-only system for comparison: same task, no sharing.
 	cold, err := p2b.NewSystem(p2b.Config{
-		Mode: p2b.Cold, T: 10, Workers: 8, Seed: 1,
+		Mode: p2b.Cold, T: 10, Seed: 1,
 	}, env, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -21,18 +21,17 @@
 //     warm-start from the server's tabular model, and with probability P
 //     submit a single encoded tuple through the shuffler.
 //
-// Simulated users run concurrently; every user draws its randomness from a
-// substream keyed by user id, so per-user trajectories are reproducible
-// regardless of goroutine scheduling (aggregate results are exactly
-// reproducible with Workers=1 and statistically stable otherwise).
+// A System runs its users serially, in the order given, and every user draws
+// its randomness from a substream keyed by user id, so a run's results are
+// exact: the same config, environment and ids give the same bytes. Callers
+// that want parallelism run independent Systems concurrently (one per
+// figure cell); a System shares no mutable state with another.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"p2b/agent"
 	"p2b/internal/encoding"
@@ -138,7 +137,8 @@ type Config struct {
 	// Alpha is the UCB exploration parameter (paper: 1).
 	Alpha float64
 	// K is the encoder code space size (private mode). Ignored when an
-	// explicit encoder is supplied.
+	// explicit encoder is supplied. Without an encoder it still sizes the
+	// server's tabular model and the default BatchSize.
 	K int
 	// Threshold is the shuffler's crowd-blending threshold l (paper: 10
 	// for the real-data experiments; small populations need a smaller l,
@@ -163,9 +163,6 @@ type Config struct {
 	// EncoderSample is how many public contexts the k-means encoder is
 	// fitted on when no encoder is supplied (default 4096).
 	EncoderSample int
-	// Workers bounds simulation concurrency (default 1: fully
-	// deterministic).
-	Workers int
 	// Seed is the root seed all randomness derives from.
 	Seed uint64
 }
@@ -183,9 +180,6 @@ func (c *Config) fillDefaults() {
 	if c.EncoderSample == 0 {
 		c.EncoderSample = 4096
 	}
-	if c.Workers == 0 {
-		c.Workers = 1
-	}
 }
 
 func (c *Config) validate() error {
@@ -201,9 +195,6 @@ func (c *Config) validate() error {
 	if c.Threshold < 0 {
 		return errors.New("core: Threshold must be >= 0")
 	}
-	if c.Workers < 1 {
-		return errors.New("core: Workers must be >= 1")
-	}
 	if c.Mode != Cold && c.Mode != WarmNonPrivate && c.Mode != WarmPrivate {
 		return fmt.Errorf("core: unknown mode %d", int(c.Mode))
 	}
@@ -216,7 +207,9 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// System is one configured P2B deployment over an environment.
+// System is one configured P2B deployment over an environment. It is
+// driven by one goroutine at a time; independent Systems may run
+// concurrently.
 type System struct {
 	cfg  Config
 	env  Environment
@@ -227,13 +220,13 @@ type System struct {
 	acct *privacy.Accountant
 	root *rng.Rand
 
-	submitted atomic.Int64 // tuples sent into the shuffler
-	usersRun  atomic.Int64
+	submitted int64 // tuples sent into the shuffler
+	usersRun  int64
 }
 
-// NewSystem builds a system over env. enc may be nil, in which case a
-// k-means encoder with cfg.K codes is fitted on a public context sample
-// (only the private mode uses it).
+// NewSystem builds a system over env. enc may be nil, in which case the
+// private mode fits a k-means encoder with cfg.K codes on a public context
+// sample; the other modes never encode, so they fit nothing.
 func NewSystem(cfg Config, env Environment, enc encoding.Encoder) (*System, error) {
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
@@ -243,37 +236,35 @@ func NewSystem(cfg Config, env Environment, enc encoding.Encoder) (*System, erro
 		return nil, fmt.Errorf("core: environment has invalid shape d=%d arms=%d", env.Dim(), env.Arms())
 	}
 	root := rng.New(cfg.Seed)
-	if enc == nil {
+	if enc == nil && cfg.Mode == WarmPrivate {
+		// rng.Split is pure, so skipping these streams in the other modes
+		// moves no other stream.
 		sample := env.SampleContexts(cfg.EncoderSample, root.Split("encoder-sample"))
 		var err error
-		// The assignment step parallelizes across the simulation workers;
-		// the fitted encoder is identical for any worker count.
-		enc, err = encoding.FitKMeansOptions(sample, cfg.K, encoding.FitOptions{
-			MaxIter: 50,
-			Tol:     1e-6,
-			Workers: cfg.Workers,
-		}, root.Split("encoder-fit"))
+		enc, err = encoding.FitKMeans(sample, cfg.K, 50, 1e-6, root.Split("encoder-fit"))
 		if err != nil {
 			return nil, fmt.Errorf("core: fitting encoder: %w", err)
 		}
 	}
+	k := cfg.K
+	var decoder server.Decoder
+	if enc != nil {
+		k = enc.K()
+		decoder, _ = enc.(encoding.Decoder)
+	}
 	if cfg.BatchSize == 0 {
 		// A batch must hold enough tuples that an average code's frequency
 		// (BatchSize / K) clears the crowd-blending threshold with margin.
-		cfg.BatchSize = 4 * cfg.Threshold * enc.K()
+		cfg.BatchSize = 4 * cfg.Threshold * k
 		if cfg.BatchSize < 256 {
 			cfg.BatchSize = 256
 		}
-	}
-	var decoder server.Decoder
-	if d, ok := enc.(encoding.Decoder); ok {
-		decoder = d
 	}
 	if cfg.Mode == WarmPrivate && cfg.PrivateLearner == LearnerCentroid && decoder == nil {
 		return nil, errors.New("core: the centroid learner requires an encoder that implements Decode")
 	}
 	srv := server.New(server.Config{
-		K:       enc.K(),
+		K:       k,
 		Arms:    env.Arms(),
 		D:       env.Dim(),
 		Alpha:   cfg.Alpha,
@@ -299,7 +290,8 @@ func NewSystem(cfg Config, env Environment, enc encoding.Encoder) (*System, erro
 // Config returns the system's configuration (with defaults filled).
 func (s *System) Config() Config { return s.cfg }
 
-// Encoder returns the shared context encoder.
+// Encoder returns the shared context encoder. It is nil when the mode
+// encodes nothing (Cold, WarmNonPrivate) and none was supplied.
 func (s *System) Encoder() encoding.Encoder { return s.enc }
 
 // Server returns the analyzer server, for inspection.
@@ -361,49 +353,16 @@ func (r *RunResult) PrefixMean(n int) float64 {
 	return agg.Mean()
 }
 
-// RunUsers simulates the given user ids with the configured number of
-// workers. When participate is true, users feed the data collection
-// pipeline according to the system's mode; evaluation cohorts pass false so
-// measurement never contaminates the global model.
+// RunUsers simulates the given user ids serially, in order. When
+// participate is true, users feed the data collection pipeline according to
+// the system's mode; evaluation cohorts pass false so measurement never
+// contaminates the global model.
 func (s *System) RunUsers(ids []int, participate bool) RunResult {
-	workers := s.cfg.Workers
-	if workers > len(ids) {
-		workers = len(ids)
+	var res RunResult
+	for _, id := range ids {
+		res.merge(s.runUser(id, participate))
 	}
-	if workers <= 1 {
-		var res RunResult
-		for _, id := range ids {
-			one := s.runUser(id, participate)
-			res.merge(one)
-		}
-		return res
-	}
-	var (
-		mu    sync.Mutex
-		total RunResult
-		wg    sync.WaitGroup
-		next  atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var local RunResult
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
-					break
-				}
-				one := s.runUser(ids[i], participate)
-				local.merge(one)
-			}
-			mu.Lock()
-			total.merge(local)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return total
+	return res
 }
 
 // RunRange simulates users with ids in [start, start+n).
@@ -481,7 +440,7 @@ func (s *System) runUser(id int, participate bool) RunResult {
 	r := s.root.SplitIndex("user", id)
 	session := s.env.User(id, r.Split("session"))
 	res := RunResult{ByStep: make([]stats.Running, s.cfg.T)}
-	s.usersRun.Add(1)
+	s.usersRun++
 
 	ag, err := s.agentFor(id, r)
 	if err != nil {
@@ -509,7 +468,7 @@ func (s *System) runUser(id int, participate bool) RunResult {
 		for i := 0; i < n; i++ {
 			s.acct.Record(device)
 		}
-		s.submitted.Add(int64(n))
+		s.submitted += int64(n)
 	}
 	return res
 }
@@ -520,7 +479,7 @@ func (s *System) runUser(id int, participate bool) RunResult {
 func (s *System) Flush() { s.shuf.Flush() }
 
 // Submitted returns how many tuples users have sent into the shuffler.
-func (s *System) Submitted() int64 { return s.submitted.Load() }
+func (s *System) Submitted() int64 { return s.submitted }
 
 // UsersRun returns how many user sessions have been simulated.
-func (s *System) UsersRun() int64 { return s.usersRun.Load() }
+func (s *System) UsersRun() int64 { return s.usersRun }

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"p2b/internal/core"
@@ -50,7 +52,8 @@ func TestConfigValidation(t *testing.T) {
 		{Mode: core.WarmPrivate, Alpha: -1},
 		{Mode: core.WarmPrivate, Threshold: -1},
 		{Mode: core.Mode(99)},
-		{Mode: core.WarmPrivate, Workers: -2},
+		{Mode: core.WarmPrivate, ReportWindow: -1},
+		{Mode: core.WarmPrivate, PrivateLearner: core.Learner(7)},
 	}
 	for i, cfg := range bad {
 		if _, err := core.NewSystem(cfg, env, nil); err == nil {
@@ -66,7 +69,7 @@ func TestDefaultsFilled(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := s.Config()
-	if cfg.T != 10 || cfg.Alpha != 1 || cfg.K != 32 || cfg.Workers != 1 {
+	if cfg.T != 10 || cfg.Alpha != 1 || cfg.K != 32 || cfg.EncoderSample != 4096 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	if cfg.BatchSize != 4*5*32 {
@@ -102,6 +105,17 @@ func TestEncoderFittedWhenNil(t *testing.T) {
 	s := newSystem(t, core.WarmPrivate, env, nil)
 	if s.Encoder() == nil || s.Encoder().K() != 16 {
 		t.Fatal("encoder not fitted with configured K")
+	}
+	// The other modes never encode, so they fit nothing; K still sizes the
+	// server and the default batch.
+	for _, mode := range []core.Mode{core.Cold, core.WarmNonPrivate} {
+		s := newSystem(t, mode, env, func(c *core.Config) { c.BatchSize = 0; c.Threshold = 5 })
+		if s.Encoder() != nil {
+			t.Fatalf("%s fitted an encoder it never reads", mode)
+		}
+		if s.Server().Config().K != 16 || s.Config().BatchSize != 4*5*16 {
+			t.Fatalf("%s: server K %d, batch %d; want 16 and 4*5*16", mode, s.Server().Config().K, s.Config().BatchSize)
+		}
 	}
 }
 
@@ -292,7 +306,6 @@ func TestWarmBeatsColdOnSynthetic(t *testing.T) {
 			c.K = 32
 			c.Threshold = 2
 			c.BatchSize = 64
-			c.Workers = 4
 		})
 		// Contribution phase.
 		s.RunRange(0, 4000, true)
@@ -315,29 +328,49 @@ func TestWarmBeatsColdOnSynthetic(t *testing.T) {
 
 func TestRunUsersDeterministicSingleWorker(t *testing.T) {
 	env := newEnv(t, 4, 3)
-	run := func() float64 {
-		s := newSystem(t, core.WarmPrivate, env, func(c *core.Config) { c.Workers = 1 })
-		res := s.RunRange(0, 200, true)
-		return res.Overall.Mean()
+	run := func() [2]core.RunResult {
+		s := newSystem(t, core.WarmPrivate, env, nil)
+		train := s.RunRange(0, 200, true)
+		s.Flush()
+		return [2]core.RunResult{train, s.RunRange(1_000_000, 50, false)}
 	}
-	if run() != run() {
-		t.Fatal("single-worker runs are not reproducible")
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("runs are not reproducible: %+v vs %+v", a, b)
 	}
 }
 
+// TestWorkersProduceSameUserCount pins the property parallel experiments
+// rely on: Systems built from the same config and run concurrently on
+// separate goroutines over one shared environment each give bitwise the
+// RunResult of a solo run, in every mode.
 func TestWorkersProduceSameUserCount(t *testing.T) {
 	env := newEnv(t, 4, 3)
-	s1 := newSystem(t, core.Cold, env, func(c *core.Config) { c.Workers = 1 })
-	s8 := newSystem(t, core.Cold, env, func(c *core.Config) { c.Workers = 8 })
-	r1 := s1.RunRange(0, 300, true)
-	r8 := s8.RunRange(0, 300, true)
-	if r1.Overall.Count() != r8.Overall.Count() {
-		t.Fatalf("counts differ: %d vs %d", r1.Overall.Count(), r8.Overall.Count())
-	}
-	// core.Cold users are fully independent, so even the means must agree.
-	if math.Abs(r1.Overall.Mean()-r8.Overall.Mean()) > 1e-9 {
-		t.Fatalf("cold means differ across worker counts: %v vs %v",
-			r1.Overall.Mean(), r8.Overall.Mean())
+	for _, mode := range []core.Mode{core.Cold, core.WarmNonPrivate, core.WarmPrivate} {
+		run := func(s *core.System) core.RunResult {
+			s.RunRange(0, 300, true)
+			s.Flush()
+			return s.RunRange(1_000_000, 100, false)
+		}
+		solo := run(newSystem(t, mode, env, nil))
+		got := make([]core.RunResult, 3)
+		var wg sync.WaitGroup
+		for i := range got {
+			s := newSystem(t, mode, env, nil)
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = run(s)
+			}(i)
+		}
+		wg.Wait()
+		for i, res := range got {
+			if !reflect.DeepEqual(res, solo) {
+				t.Fatalf("%s: concurrent run %d differs from the solo run: %+v vs %+v", mode, i, res.Overall, solo.Overall)
+			}
+		}
+		if solo.Overall.Count() != 100*10 {
+			t.Fatalf("%s: %d rewards, want 1000", mode, solo.Overall.Count())
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // These tests cover RunResult.merge and PrefixMean edge cases: uneven
 // ByStep lengths (users simulated with different horizons), empty results
-// (a worker that claimed no ids), and prefix lengths beyond the recorded
+// (an empty cohort), and prefix lengths beyond the recorded
 // horizon.
 
 func resultWithSteps(rewards ...float64) RunResult {

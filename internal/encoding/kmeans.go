@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"p2b/internal/rng"
 )
@@ -318,7 +317,7 @@ func (m *KMeans) buildIndex() {
 	for i := range views {
 		views[i] = m.centroid(i)
 	}
-	gm, err := FitKMeansOptions(views, g, FitOptions{MaxIter: 25}, rng.New(0x9E3779B97F4A7C15))
+	gm, err := FitKMeans(views, g, 25, 0, rng.New(0x9E3779B97F4A7C15))
 	if err != nil {
 		// Only empty data or g < 1 can fail, and neither occurs here.
 		panic("encoding: grouping fit failed: " + err.Error())
@@ -530,40 +529,13 @@ func kmeansPlusPlusInit(data [][]float64, k, d int, r *rng.Rand) []float64 {
 	return flat
 }
 
-// FitOptions tunes FitKMeansOptions beyond the paper's defaults.
-type FitOptions struct {
-	// MaxIter bounds the Lloyd iterations. A non-positive value runs
-	// zero iterations, returning the k-means++ initialization unchanged
-	// (matching the historical FitKMeans contract).
-	MaxIter int
-	// Tol stops iterating once total centroid movement drops below it.
-	// A non-positive value never stops early.
-	Tol float64
-	// Workers parallelizes the assignment step across goroutines. The
-	// result is identical for any worker count: assignments are pure
-	// per-point computations and the accumulation that follows runs
-	// serially in point order. Default 1.
-	Workers int
-}
-
-func (o *FitOptions) fill() {
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
-}
-
 // FitKMeans runs Lloyd's algorithm with k-means++ initialization until the
 // centroid movement drops below tol or maxIter iterations pass. It returns
 // an error on empty data or k < 1; if k exceeds the number of points the
-// extra centroids duplicate existing points (their clusters stay empty).
+// extra centroids duplicate existing points (their clusters stay empty). A
+// non-positive maxIter returns the k-means++ initialization unchanged; a
+// non-positive tol never stops early.
 func FitKMeans(data [][]float64, k, maxIter int, tol float64, r *rng.Rand) (*KMeans, error) {
-	return FitKMeansOptions(data, k, FitOptions{MaxIter: maxIter, Tol: tol}, r)
-}
-
-// FitKMeansOptions is FitKMeans with an explicit option set, notably a
-// worker count for parallel assignment. Results are independent of Workers.
-func FitKMeansOptions(data [][]float64, k int, opts FitOptions, r *rng.Rand) (*KMeans, error) {
-	opts.fill()
 	if len(data) == 0 {
 		return nil, fmt.Errorf("encoding: FitKMeans on empty data")
 	}
@@ -581,12 +553,12 @@ func FitKMeansOptions(data [][]float64, k int, opts FitOptions, r *rng.Rand) (*K
 	sums := make([]float64, k*d)
 	counts := make([]int, k)
 	next := make([]float64, d)
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		// Assignment step: pruned nearest-centroid search, parallel across
-		// workers. Each point's assignment is independent, so sharding by
-		// index keeps the result deterministic.
-		assignAll(m, data, assign, opts.Workers)
-		// Update step, serial in point order for determinism.
+	for iter := 0; iter < maxIter; iter++ {
+		// Assignment step: pruned nearest-centroid search.
+		for i, x := range data {
+			assign[i] = m.encodeFlat(x)
+		}
+		// Update step, in point order.
 		for i := range sums {
 			sums[i] = 0
 		}
@@ -626,46 +598,12 @@ func FitKMeansOptions(data [][]float64, k int, opts FitOptions, r *rng.Rand) (*K
 			copy(row, next)
 		}
 		m.refreshNorms()
-		if moved < opts.Tol {
+		if moved < tol {
 			break
 		}
 	}
 	m.buildIndex()
 	return m, nil
-}
-
-// assignAll fills assign[i] with m.Encode(data[i]) using the given number
-// of worker goroutines.
-func assignAll(m *KMeans, data [][]float64, assign []int, workers int) {
-	if workers > len(data) {
-		workers = len(data)
-	}
-	if workers <= 1 {
-		for i, x := range data {
-			assign[i] = m.encodeFlat(x)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(data) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(data) {
-			hi = len(data)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				assign[i] = m.encodeFlat(data[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // FitMiniBatchKMeans implements web-scale mini-batch k-means (Sculley,

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"p2b/internal/rng"
@@ -83,23 +84,44 @@ func TestDecodeTo(t *testing.T) {
 	}
 }
 
+// TestFitKMeansWorkersDeterministic pins what parallel experiments rely on:
+// fits running concurrently on one shared data set neither race nor
+// perturb each other, so each equals a solo fit bit for bit. k = 128 also
+// builds the search index.
 func TestFitKMeansWorkersDeterministic(t *testing.T) {
 	r := rng.New(11)
 	data := make([][]float64, 600)
 	for i := range data {
 		data[i] = r.SplitIndex("pt", i).Simplex(6)
 	}
-	m1, err := FitKMeansOptions(data, 32, FitOptions{MaxIter: 20, Tol: 1e-9, Workers: 1}, rng.New(5))
+	solo, err := FitKMeans(data, 128, 20, 1e-9, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m8, err := FitKMeansOptions(data, 32, FitOptions{MaxIter: 20, Tol: 1e-9, Workers: 8}, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
+	fits := make([]*KMeans, 4)
+	errs := make([]error, len(fits))
+	var wg sync.WaitGroup
+	for i := range fits {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fits[i], errs[i] = FitKMeans(data, 128, 20, 1e-9, rng.New(5))
+		}(i)
 	}
-	for i := range m1.flat {
-		if m1.flat[i] != m8.flat[i] {
-			t.Fatalf("flat[%d]: workers=1 %v vs workers=8 %v", i, m1.flat[i], m8.flat[i])
+	wg.Wait()
+	for i, m := range fits {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for j := range solo.flat {
+			if m.flat[j] != solo.flat[j] {
+				t.Fatalf("fit %d flat[%d]: concurrent %v vs solo %v", i, j, m.flat[j], solo.flat[j])
+			}
+		}
+		for _, x := range data[:50] {
+			if m.Encode(x) != solo.Encode(x) {
+				t.Fatalf("fit %d encodes %v differently from the solo fit", i, x)
+			}
 		}
 	}
 }

@@ -18,32 +18,29 @@ func ablationEnv(opts Options) (*synthetic.Preference, error) {
 		rng.New(opts.Seed).Split("ablation-env"))
 }
 
-// runPrivate builds a WarmPrivate system with the given overrides, runs the
-// contributing population and returns the evaluation-cohort mean and CI.
-func runPrivate(opts Options, env core.Environment, enc encoding.Encoder,
-	over func(*core.Config)) (*core.System, float64, float64, error) {
-	cfg := core.Config{
-		Mode:      core.WarmPrivate,
-		T:         10,
-		P:         0.5,
-		Alpha:     1,
-		K:         64,
-		Threshold: 2,
-		BatchSize: 256,
-		Workers:   opts.Workers,
-		Seed:      opts.Seed,
+// ablationRuns runs n warm-private cells over env in parallel, the i-th
+// adjusted by set, and returns their results in order.
+func ablationRuns(opts Options, env core.Environment, n int, set func(i int, c *cell)) ([]cellResult, error) {
+	cells := make([]cell, n)
+	for i := range cells {
+		cells[i] = cell{
+			cfg: core.Config{
+				Mode:      core.WarmPrivate,
+				T:         10,
+				P:         0.5,
+				Alpha:     1,
+				K:         64,
+				Threshold: 2,
+				BatchSize: 256,
+				Seed:      opts.Seed,
+			},
+			env:   env,
+			train: idRange(0, opts.scaled(4000)),
+			eval:  idRange(evalOffset, 300),
+		}
+		set(i, &cells[i])
 	}
-	if over != nil {
-		over(&cfg)
-	}
-	sys, err := core.NewSystem(cfg, env, enc)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	sys.RunRange(0, opts.scaled(4000), true)
-	sys.Flush()
-	eval := sys.RunRange(evalOffset, 300, false)
-	return sys, eval.Overall.Mean(), eval.Overall.CI95(), nil
+	return trainEval(opts.Workers, cells)
 }
 
 // AblationEncoders compares the encoder families at (approximately) equal
@@ -89,11 +86,12 @@ func AblationEncoders(opts Options) (*Result, error) {
 		Name:        "Ablation: encoder family",
 		Description: "Warm-private pipeline utility per encoder (synthetic d=6, A=10, p=0.5).",
 	}
+	runs, err := ablationRuns(opts, env, len(encoders), func(i int, c *cell) { c.enc = encoders[i].enc })
+	if err != nil {
+		return nil, err
+	}
 	for i, e := range encoders {
-		_, mean, ci, err := runPrivate(opts, env, e.enc, nil)
-		if err != nil {
-			return nil, err
-		}
+		mean, ci := runs[i].eval.Overall.Mean(), runs[i].eval.Overall.CI95()
 		s.Append(float64(i), mean, ci)
 		res.Notes = append(res.Notes, fmt.Sprintf("encoder %d = %s: reward %.5f +- %.5f", i, e.name, mean, ci))
 	}
@@ -110,14 +108,15 @@ func AblationParticipation(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	ps := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
+	runs, err := ablationRuns(opts, env, len(ps), func(i int, c *cell) { c.cfg.P = ps[i] })
+	if err != nil {
+		return nil, err
+	}
 	reward := &stats.Series{Name: "eval reward"}
 	eps := &stats.Series{Name: "epsilon"}
-	for _, p := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		_, mean, ci, err := runPrivate(opts, env, nil, func(c *core.Config) { c.P = p })
-		if err != nil {
-			return nil, err
-		}
-		reward.Append(p, mean, ci)
+	for i, p := range ps {
+		reward.Append(p, runs[i].eval.Overall.Mean(), runs[i].eval.Overall.CI95())
 		eps.Append(p, privacy.Epsilon(p), 0)
 	}
 	return &Result{
@@ -136,22 +135,20 @@ func AblationThreshold(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	ls := []int{0, 2, 5, 10, 20, 50}
+	runs, err := ablationRuns(opts, env, len(ls), func(i int, c *cell) { c.cfg.Threshold = ls[i] })
+	if err != nil {
+		return nil, err
+	}
 	reward := &stats.Series{Name: "eval reward"}
 	dropped := &stats.Series{Name: "drop fraction"}
-	for _, l := range []int{0, 2, 5, 10, 20, 50} {
-		sys, mean, ci, err := runPrivate(opts, env, nil, func(c *core.Config) {
-			c.Threshold = l
-			c.BatchSize = 256
-		})
-		if err != nil {
-			return nil, err
-		}
-		st := sys.Shuffler().Stats()
+	for i, l := range ls {
+		st := runs[i].shuffler
 		frac := 0.0
 		if st.Received > 0 {
 			frac = float64(st.Dropped) / float64(st.Received)
 		}
-		reward.Append(float64(l), mean, ci)
+		reward.Append(float64(l), runs[i].eval.Overall.Mean(), runs[i].eval.Overall.CI95())
 		dropped.Append(float64(l), frac, 0)
 	}
 	return &Result{
@@ -170,13 +167,14 @@ func AblationCodeSpace(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	ks := []int{8, 16, 32, 64, 128, 256, 512, 1024}
+	runs, err := ablationRuns(opts, env, len(ks), func(i int, c *cell) { c.cfg.K = ks[i] })
+	if err != nil {
+		return nil, err
+	}
 	reward := &stats.Series{Name: "eval reward"}
-	for _, k := range []int{8, 16, 32, 64, 128, 256, 512, 1024} {
-		_, mean, ci, err := runPrivate(opts, env, nil, func(c *core.Config) { c.K = k })
-		if err != nil {
-			return nil, err
-		}
-		reward.Append(float64(k), mean, ci)
+	for i, k := range ks {
+		reward.Append(float64(k), runs[i].eval.Overall.Mean(), runs[i].eval.Overall.CI95())
 	}
 	return &Result{
 		Name:        "Ablation: code-space size",
@@ -199,18 +197,20 @@ func AblationLearners(opts Options) (*Result, error) {
 		Name:        "Ablation: private learner",
 		Description: "Warm-private utility per hypothesis class and code-space size (synthetic d=6, A=10, p=0.5).",
 	}
+	learners := []core.Learner{core.LearnerTabular, core.LearnerCentroid}
+	ks := []int{16, 64, 256, 1024}
+	runs, err := ablationRuns(opts, env, len(learners)*len(ks), func(i int, c *cell) {
+		c.cfg.PrivateLearner, c.cfg.K = learners[i/len(ks)], ks[i%len(ks)]
+	})
+	if err != nil {
+		return nil, err
+	}
 	tab := &stats.Table{XLabel: "k"}
-	for _, learner := range []core.Learner{core.LearnerTabular, core.LearnerCentroid} {
+	for _, learner := range learners {
 		s := &stats.Series{Name: learner.String()}
-		for _, k := range []int{16, 64, 256, 1024} {
-			_, mean, ci, err := runPrivate(opts, env, nil, func(c *core.Config) {
-				c.K = k
-				c.PrivateLearner = learner
-			})
-			if err != nil {
-				return nil, err
-			}
-			s.Append(float64(k), mean, ci)
+		for _, k := range ks {
+			s.Append(float64(k), runs[0].eval.Overall.Mean(), runs[0].eval.Overall.CI95())
+			runs = runs[1:]
 		}
 		tab.Series = append(tab.Series, s)
 	}

@@ -6,7 +6,6 @@ import (
 	"p2b/internal/adlogs"
 	"p2b/internal/core"
 	"p2b/internal/rng"
-	"p2b/internal/stats"
 )
 
 // Figure7 reproduces the online-advertising CTR curves on the Criteo-shaped
@@ -42,16 +41,12 @@ func Figure7(opts Options) (*Result, error) {
 		Description: fmt.Sprintf(
 			"Online advertising: CTR vs local interactions on a Criteo-shaped log (d=10, A=40, %d agents, threshold 10).", agents),
 	}
-	for _, kbits := range []int{5, 7} {
-		tab := &stats.Table{XLabel: fmt.Sprintf("local interactions (k=2^%d)", kbits)}
-		series := map[core.Mode]*stats.Series{}
-		for _, mode := range modes {
-			series[mode] = &stats.Series{Name: mode.String()}
-			tab.Series = append(tab.Series, series[mode])
-		}
+	kbitsList := []int{5, 7}
+	var cells []cell
+	for _, kbits := range kbitsList {
 		for _, n := range grid {
 			for _, mode := range modes {
-				sys, err := core.NewSystem(core.Config{
+				cells = append(cells, cell{cfg: core.Config{
 					Mode:         mode,
 					T:            n,
 					P:            0.5,
@@ -59,21 +54,19 @@ func Figure7(opts Options) (*Result, error) {
 					K:            1 << kbits,
 					Threshold:    10,
 					ReportWindow: 10,
-					Workers:      opts.Workers,
 					Seed:         opts.Seed + uint64(kbits*10000+n),
-				}, env, nil)
-				if err != nil {
-					return nil, err
-				}
-				sys.RunUsers(trainIDs, true)
-				sys.Flush()
-				eval := sys.RunUsers(testIDs, false)
-				series[mode].Append(float64(n), eval.Overall.Mean(), eval.Overall.CI95())
+				}, env: env, train: trainIDs, eval: testIDs})
 			}
 		}
+	}
+	runs, err := trainEval(opts.Workers, cells)
+	if err != nil {
+		return nil, err
+	}
+	for _, kbits := range kbitsList {
+		tab, np, pv := gridTable(fmt.Sprintf("local interactions (k=2^%d)", kbits), grid, runs[:len(grid)*len(modes)])
+		runs = runs[len(grid)*len(modes):]
 		res.Tables = append(res.Tables, tab)
-		np, _ := series[core.WarmNonPrivate].YAt(float64(grid[len(grid)-1]))
-		pv, _ := series[core.WarmPrivate].YAt(float64(grid[len(grid)-1]))
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"k=2^%d: private minus non-private CTR at n=%d is %+.4f (paper: about +0.0025 in favour of private)",
 			kbits, grid[len(grid)-1], pv-np))

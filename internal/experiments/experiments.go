@@ -12,25 +12,29 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"p2b/internal/core"
+	"p2b/internal/encoding"
+	"p2b/internal/shuffler"
 	"p2b/internal/stats"
 )
 
 // Options are shared by all experiment runners.
 type Options struct {
-	// Seed is the root seed. Runs with the same seed and scale are
-	// reproducible only at Workers = 1: with more workers, goroutine
-	// scheduling decides batch membership and which model a warm-starting
-	// user reads, so results vary from run to run.
+	// Seed is the root seed. Runs with the same seed and scale give the
+	// same bytes at any Workers.
 	Seed uint64
 	// Scale multiplies population sizes. 1 (default) is bench scale;
 	// the per-figure doc comments state the factor that reaches the
 	// paper's full scale.
 	Scale float64
-	// Workers bounds simulation concurrency (default 4).
+	// Workers is how many independent cells (one core.System each) an
+	// experiment runs at once (default 4); results do not depend on it.
+	// For http-pipeline and model_path it is the HTTP client concurrency.
 	Workers int
 }
 
@@ -116,6 +120,66 @@ func averageSeries(name string, replicas []*stats.Series) *stats.Series {
 		out.Append(replicas[0].Points[i].X, agg.Mean(), agg.CI95())
 	}
 	return out
+}
+
+// runCells runs independent cells on up to workers goroutines and returns
+// their results by index, so the output does not depend on workers or on
+// the order in which cells finish. Each cell must own its state (its own
+// core.System); inputs they share, such as an environment, are read-only.
+// The errors of failing cells are joined in index order.
+func runCells[T any](workers int, cells []func() (T, error)) ([]T, error) {
+	out := make([]T, len(cells))
+	errs := make([]error, len(cells))
+	slots := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, cell := range cells {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = cell()
+			<-slots
+		}()
+	}
+	wg.Wait()
+	return out, errors.Join(errs...)
+}
+
+// cell is one System of an experiment: its config, workload and encoder
+// (nil lets core fit one), the contributing users and the evaluation
+// cohort.
+type cell struct {
+	cfg         core.Config
+	env         core.Environment
+	enc         encoding.Encoder
+	train, eval []int
+}
+
+// cellResult is what an experiment reads back from a cell.
+type cellResult struct {
+	eval     core.RunResult
+	shuffler shuffler.Stats
+}
+
+// trainEval runs cells on up to workers goroutines, each the same way:
+// build the System, run the contributing users, flush the shuffler, then
+// measure the evaluation cohort against the global model. Results come
+// back by cell index.
+func trainEval(workers int, cells []cell) ([]cellResult, error) {
+	fns := make([]func() (cellResult, error), len(cells))
+	for i, c := range cells {
+		fns[i] = func() (cellResult, error) {
+			sys, err := core.NewSystem(c.cfg, c.env, c.enc)
+			if err != nil {
+				return cellResult{}, err
+			}
+			sys.RunUsers(c.train, true)
+			sys.Flush()
+			eval := sys.RunUsers(c.eval, false)
+			return cellResult{eval, sys.Shuffler().Stats()}, nil
+		}
+	}
+	return runCells(workers, fns)
 }
 
 // Registry maps experiment ids (as accepted by cmd/p2bbench) to runners.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -34,6 +35,79 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if len(Names()) != len(Registry) {
 		t.Fatalf("Names() lists %d, registry has %d", len(Names()), len(Registry))
+	}
+}
+
+// TestFiguresIdenticalAcrossWorkers pins that Options.Workers only sets how
+// many cells run at once: the rendered output is byte-identical at any
+// worker count. The experiments run as parallel subtests, which also
+// shows that concurrent experiments share nothing.
+func TestFiguresIdenticalAcrossWorkers(t *testing.T) {
+	for _, name := range []string{"ab-learner", "fig7", "ab-l", "fig6"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var outs []string
+			for _, workers := range []int{1, 3} {
+				opts := tiny()
+				opts.Workers = workers
+				res, err := Registry[name](opts)
+				if err != nil {
+					t.Fatalf("%d workers: %v", workers, err)
+				}
+				outs = append(outs, res.Render())
+			}
+			if outs[0] != outs[1] {
+				t.Fatalf("output differs between 1 and 3 workers:\n%s\n---\n%s", outs[0], outs[1])
+			}
+		})
+	}
+}
+
+// TestRunCellsByIndex checks the fan-out helper: cells that finish in
+// reverse order still land by index, and every failing cell's error is
+// returned.
+func TestRunCellsByIndex(t *testing.T) {
+	const n = 5
+	done := make([]chan struct{}, n+1)
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	close(done[n])
+	cells := make([]func() (int, error), n)
+	for i := range cells {
+		cells[i] = func() (int, error) {
+			<-done[i+1] // cell i finishes only after cell i+1
+			defer close(done[i])
+			return i * i, nil
+		}
+	}
+	got, err := runCells(n, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("result %d = %d, want %d", i, v, i*i)
+		}
+	}
+
+	errA, errB := errors.New("cell 1"), errors.New("cell 3")
+	for _, workers := range []int{1, 2, n} {
+		cells := make([]func() (int, error), n)
+		for i := range cells {
+			cells[i] = func() (int, error) {
+				switch i {
+				case 1:
+					return 0, errA
+				case 3:
+					return 0, errB
+				}
+				return i, nil
+			}
+		}
+		if _, err := runCells(workers, cells); !errors.Is(err, errA) || !errors.Is(err, errB) {
+			t.Fatalf("workers %d: error %v, want both cell errors", workers, err)
+		}
 	}
 }
 

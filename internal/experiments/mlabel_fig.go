@@ -30,6 +30,7 @@ func Figure6(opts Options) (*Result, error) {
 		{"textmining-like", mlabel.TextMiningLike(opts.scaled(8000))},
 	}
 	grid := []int{5, 10, 25, 50, 100}
+	var cells []cell
 	for si, set := range sets {
 		ds, err := mlabel.Generate(set.cfg, rng.New(opts.Seed).SplitIndex("fig6-data", si))
 		if err != nil {
@@ -54,16 +55,9 @@ func Figure6(opts Options) (*Result, error) {
 		trainN := agents * 70 / 100
 		trainIDs := idRange(0, trainN)
 		testIDs := idRange(trainN, agents-trainN)
-
-		tab := &stats.Table{XLabel: fmt.Sprintf("local interactions (%s)", set.name)}
-		series := map[core.Mode]*stats.Series{}
-		for _, mode := range modes {
-			series[mode] = &stats.Series{Name: mode.String()}
-			tab.Series = append(tab.Series, series[mode])
-		}
 		for _, n := range grid {
 			for _, mode := range modes {
-				sys, err := core.NewSystem(core.Config{
+				cells = append(cells, cell{cfg: core.Config{
 					Mode:         mode,
 					T:            n,
 					P:            0.5,
@@ -71,27 +65,47 @@ func Figure6(opts Options) (*Result, error) {
 					K:            1 << 5,
 					Threshold:    2,
 					ReportWindow: 10,
-					Workers:      opts.Workers,
 					Seed:         opts.Seed + uint64(si*1000+n),
-				}, env, nil)
-				if err != nil {
-					return nil, err
-				}
-				sys.RunUsers(trainIDs, true)
-				sys.Flush()
-				eval := sys.RunUsers(testIDs, false)
-				series[mode].Append(float64(n), eval.Overall.Mean(), eval.Overall.CI95())
+				}, env: env, train: trainIDs, eval: testIDs})
 			}
 		}
+	}
+	runs, err := trainEval(opts.Workers, cells)
+	if err != nil {
+		return nil, err
+	}
+	for _, set := range sets {
+		tab, np, pv := gridTable(fmt.Sprintf("local interactions (%s)", set.name), grid, runs[:len(grid)*len(modes)])
+		runs = runs[len(grid)*len(modes):]
 		res.Tables = append(res.Tables, tab)
 		// Headline gap at the largest interaction count.
-		np, _ := series[core.WarmNonPrivate].YAt(float64(grid[len(grid)-1]))
-		pv, _ := series[core.WarmPrivate].YAt(float64(grid[len(grid)-1]))
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%s: non-private minus private accuracy at n=%d is %+.4f (paper: ~0.026 MediaMill / ~0.036 TextMining)",
 			set.name, grid[len(grid)-1], np-pv))
 	}
 	return res, nil
+}
+
+// gridTable lays out one panel of Figures 6 and 7: runs holds one cell per
+// (n, mode) in grid-major order, and each mode becomes a series over n. It
+// also returns the non-private and private means at the largest n, which
+// the figures' headline gaps compare.
+func gridTable(xLabel string, grid []int, runs []cellResult) (tab *stats.Table, nonPrivate, private float64) {
+	tab = &stats.Table{XLabel: xLabel}
+	for _, mode := range modes {
+		tab.Series = append(tab.Series, &stats.Series{Name: mode.String()})
+	}
+	for _, n := range grid {
+		for _, s := range tab.Series {
+			s.Append(float64(n), runs[0].eval.Overall.Mean(), runs[0].eval.Overall.CI95())
+			runs = runs[1:]
+		}
+	}
+	// Series follow modes: cold, warm-nonprivate, warm-private.
+	last := float64(grid[len(grid)-1])
+	nonPrivate, _ = tab.Series[1].YAt(last)
+	private, _ = tab.Series[2].YAt(last)
+	return tab, nonPrivate, private
 }
 
 func idRange(start, n int) []int {

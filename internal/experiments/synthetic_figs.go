@@ -44,36 +44,47 @@ func Figure4(opts Options) (*Result, error) {
 		Description: "Synthetic benchmark: average reward vs user population U, one panel per arm count (d=10, T=10, p=0.5, k=2^10).",
 	}
 	checkpoints := geometricCheckpoints(100, opts.scaled(10_000), 8)
-	for _, arms := range []int{10, 20, 50} {
+	// Average over replicas: a single bandit run's top-arm ranking can flip
+	// between checkpoints, and the paper's curves are ensemble behaviour.
+	const replicas = 3
+	armCounts := []int{10, 20, 50}
+	var cells []func() (*stats.Series, error)
+	for _, arms := range armCounts {
 		env, err := synthetic.New(synthetic.Config{D: 10, Arms: arms, Beta: 0.1, Sigma: 0.1},
 			rng.New(opts.Seed).SplitIndex("fig4-env", arms))
 		if err != nil {
 			return nil, err
 		}
+		for _, mode := range modes {
+			for rep := 0; rep < replicas; rep++ {
+				cells = append(cells, func() (*stats.Series, error) {
+					sys, err := core.NewSystem(core.Config{
+						Mode:           mode,
+						T:              10,
+						P:              0.5,
+						Alpha:          1,
+						K:              1 << 10,
+						Threshold:      2,
+						PrivateLearner: core.LearnerCentroid,
+						Seed:           opts.Seed + uint64(arms*10+rep),
+					}, env, nil)
+					if err != nil {
+						return nil, err
+					}
+					return populationSweep(sys, checkpoints, 300), nil
+				})
+			}
+		}
+	}
+	sweeps, err := runCells(opts.Workers, cells)
+	if err != nil {
+		return nil, err
+	}
+	for _, arms := range armCounts {
 		tab := &stats.Table{XLabel: fmt.Sprintf("users (A=%d)", arms)}
 		for _, mode := range modes {
-			// Average over replicas: a single bandit run's top-arm ranking
-			// can flip between checkpoints, and the paper's curves are
-			// ensemble behaviour.
-			var replicas []*stats.Series
-			for rep := 0; rep < 3; rep++ {
-				sys, err := core.NewSystem(core.Config{
-					Mode:           mode,
-					T:              10,
-					P:              0.5,
-					Alpha:          1,
-					K:              1 << 10,
-					Threshold:      2,
-					PrivateLearner: core.LearnerCentroid,
-					Workers:        opts.Workers,
-					Seed:           opts.Seed + uint64(arms*10+rep),
-				}, env, nil)
-				if err != nil {
-					return nil, err
-				}
-				replicas = append(replicas, populationSweep(sys, checkpoints, 300))
-			}
-			tab.Series = append(tab.Series, averageSeries(mode.String(), replicas))
+			tab.Series = append(tab.Series, averageSeries(mode.String(), sweeps[:replicas]))
+			sweeps = sweeps[replicas:]
 		}
 		res.Tables = append(res.Tables, tab)
 		res.Notes = append(res.Notes, fmt.Sprintf(
@@ -88,22 +99,18 @@ func Figure4(opts Options) (*Result, error) {
 func Figure5(opts Options) (*Result, error) {
 	opts.fill()
 	users := opts.scaled(2000)
-	tab := &stats.Table{XLabel: "context dimension d"}
-	series := map[core.Mode]*stats.Series{}
-	for _, mode := range modes {
-		series[mode] = &stats.Series{Name: mode.String()}
-		tab.Series = append(tab.Series, series[mode])
-	}
-	for d := 6; d <= 20; d += 2 {
+	const replicas = 3
+	dims := []int{6, 8, 10, 12, 14, 16, 18, 20}
+	var cells []cell
+	for _, d := range dims {
 		env, err := synthetic.New(synthetic.Config{D: d, Arms: 20, Beta: 0.1, Sigma: 0.1},
 			rng.New(opts.Seed).SplitIndex("fig5-env", d))
 		if err != nil {
 			return nil, err
 		}
 		for _, mode := range modes {
-			var agg stats.Running
-			for rep := 0; rep < 3; rep++ {
-				sys, err := core.NewSystem(core.Config{
+			for rep := 0; rep < replicas; rep++ {
+				cells = append(cells, cell{cfg: core.Config{
 					Mode:           mode,
 					T:              20,
 					P:              0.5,
@@ -111,18 +118,27 @@ func Figure5(opts Options) (*Result, error) {
 					K:              1 << 10,
 					Threshold:      2,
 					PrivateLearner: core.LearnerCentroid,
-					Workers:        opts.Workers,
 					Seed:           opts.Seed + uint64(d*10+rep),
-				}, env, nil)
-				if err != nil {
-					return nil, err
-				}
-				sys.RunRange(0, users, true)
-				sys.Flush()
-				eval := sys.RunRange(evalOffset, 300, false)
-				agg.Add(eval.Overall.Mean())
+				}, env: env, train: idRange(0, users), eval: idRange(evalOffset, 300)})
 			}
-			series[mode].Append(float64(d), agg.Mean(), agg.CI95())
+		}
+	}
+	runs, err := trainEval(opts.Workers, cells)
+	if err != nil {
+		return nil, err
+	}
+	tab := &stats.Table{XLabel: "context dimension d"}
+	for _, mode := range modes {
+		tab.Series = append(tab.Series, &stats.Series{Name: mode.String()})
+	}
+	for _, d := range dims {
+		for _, s := range tab.Series {
+			var agg stats.Running
+			for _, r := range runs[:replicas] {
+				agg.Add(r.eval.Overall.Mean())
+			}
+			runs = runs[replicas:]
+			s.Append(float64(d), agg.Mean(), agg.CI95())
 		}
 	}
 	return &Result{

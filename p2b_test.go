@@ -15,7 +15,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys, err := p2b.NewSystem(p2b.Config{
-		Mode: p2b.WarmPrivate, T: 10, P: 0.5, K: 32, Threshold: 2, Seed: 1, Workers: 4,
+		Mode: p2b.WarmPrivate, T: 10, P: 0.5, K: 32, Threshold: 2, Seed: 1,
 	}, env, nil)
 	if err != nil {
 		t.Fatal(err)
