@@ -769,11 +769,33 @@ func ingestStream(ing Ingestor, next func(*transport.Tuple) error) (BatchAck, er
 // Metadata bytes are skipped inside the frame buffer (never materialized),
 // so identity neither allocates nor — on a durable node — reaches the WAL.
 func ingestBinary(ing Ingestor, body io.Reader) (BatchAck, error) {
-	fr, err := transport.NewFrameReader(body)
+	fr, err := takeFrameReader(body)
 	if err != nil {
 		return BatchAck{}, err
 	}
+	defer frameReaders.Put(fr)
 	return ingestStream(ing, fr.NextTuple)
+}
+
+// frameReaders recycles the batch decoders of the binary ingest routes. A
+// FrameReader owns a 32 KiB read buffer, which a fresh reader per POST
+// would allocate (and the GC collect) on every request. A pooled reader
+// still references its last request's body until its next Reset; the pool
+// holds few readers and drops them at garbage collection.
+var frameReaders sync.Pool
+
+// takeFrameReader returns a pooled FrameReader switched to body, whose
+// stream magic it has validated.
+func takeFrameReader(body io.Reader) (*transport.FrameReader, error) {
+	fr, ok := frameReaders.Get().(*transport.FrameReader)
+	if !ok {
+		return transport.NewFrameReader(body)
+	}
+	if err := fr.Reset(body); err != nil {
+		frameReaders.Put(fr)
+		return nil, err
+	}
+	return fr, nil
 }
 
 // ingestNDJSON streams newline-delimited JSON envelopes from body into the

@@ -141,11 +141,12 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 		// The whole batch is decoded before anything is applied: the
 		// (origin, epoch, seq) position deduplicates the batch as a unit,
 		// so a half-applied batch must not exist.
-		fr, err := transport.NewFrameReader(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
+		fr, err := takeFrameReader(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
 		if err != nil {
 			writeBodyError(w, err)
 			return
 		}
+		defer frameReaders.Put(fr)
 		var tuples []transport.Tuple
 		var t transport.Tuple
 		for {

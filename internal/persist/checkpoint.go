@@ -378,8 +378,7 @@ func readShuffler(r *transport.Reader) (*shuffler.State, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dec frameDecoder
-	if st.Pending, err = dec.decodeTuplesPayload(stream, nil); err != nil {
+	if st.Pending, err = transport.DecodeTuples(nil, stream); err != nil {
 		return nil, fmt.Errorf("pending tuples: %w", err)
 	}
 	for _, t := range st.Pending {
@@ -387,7 +386,7 @@ func readShuffler(r *transport.Reader) (*shuffler.State, error) {
 			return nil, fmt.Errorf("pending tuple has non-finite reward %v", t.Reward)
 		}
 	}
-	// The frame reader tolerates metadata and long varints; a pending
+	// The batch decoder tolerates metadata and long varints; a pending
 	// stream must be exactly what AppendTuples writes.
 	if !bytes.Equal(transport.AppendTuples(nil, st.Pending), stream) {
 		return nil, errors.New("pending tuples are not in canonical form")

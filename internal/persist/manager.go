@@ -107,10 +107,19 @@ type Manager struct {
 //
 //  1. Load the checkpoint (if any) and restore the server accumulators and
 //     the shuffler's pending buffer + RNG position from it.
-//  2. Open the WAL, truncating a torn tail in the final segment.
-//  3. Replay every record past the checkpoint through the regular
-//     submission path, reproducing batch boundaries, shuffles and
-//     threshold decisions exactly.
+//  2. Scan the WAL once, segment by segment: each segment is read and
+//     CRC-checked a single time, and every record past the checkpoint is
+//     applied as the scan reaches it, through the regular submission path,
+//     reproducing batch boundaries, shuffles and threshold decisions
+//     exactly. A torn tail in the final segment is truncated once the scan
+//     has passed the last whole record.
+//
+// Corruption anywhere still refuses to start, but the records before it
+// have already been applied when the scan finds it. That state is
+// discarded with the error; on a relay, though, the batches those records
+// cut have been forwarded. They are exactly the batches a successful
+// recovery forwards first, under the same (epoch, seq), so the downstream
+// duplicate guard keeps them exactly-once.
 //
 // The shuffler and server must be freshly constructed (nothing ingested);
 // Open refuses to recover into components that already hold state.
@@ -157,25 +166,9 @@ func Open(dir string, shuf *shuffler.Shuffler, srv *server.Server, opts Options)
 		}
 	}
 
-	wal, walInfo, err := OpenWAL(dir)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Metrics != nil {
-		// Installed before any concurrent use: replay below is synchronous
-		// and the background loops only start at the end of Open.
-		wal.fsyncHist = opts.Metrics.FsyncSeconds
-	}
-	m.wal = wal
-	m.recovery.TruncatedBytes = walInfo.TruncatedBytes
-	m.recovery.LastSeq = walInfo.LastSeq
-
-	if walInfo.LastSeq < m.ckptSeq {
-		wal.Close()
-		return nil, fmt.Errorf("%w: checkpoint covers sequence %d but the log ends at %d", ErrCorrupt, m.ckptSeq, walInfo.LastSeq)
-	}
-
-	err = wal.Replay(m.ckptSeq, func(rec Record) error {
+	// One pass reads and CRC-checks each segment, applying every record
+	// past the checkpoint as the scan reaches it.
+	wal, walInfo, err := openWAL(dir, m.ckptSeq, func(rec Record) error {
 		m.recovery.ReplayedRecords++
 		switch rec.Type {
 		case RecordFlush:
@@ -206,9 +199,20 @@ func Open(dir string, shuf *shuffler.Shuffler, srv *server.Server, opts Options)
 		return nil
 	})
 	if err != nil {
-		wal.Close()
 		return nil, err
 	}
+	if walInfo.LastSeq < m.ckptSeq {
+		wal.Close()
+		return nil, fmt.Errorf("%w: checkpoint covers sequence %d but the log ends at %d", ErrCorrupt, m.ckptSeq, walInfo.LastSeq)
+	}
+	if opts.Metrics != nil {
+		// Installed before any concurrent use: the background loops only
+		// start at the end of Open.
+		wal.fsyncHist = opts.Metrics.FsyncSeconds
+	}
+	m.wal = wal
+	m.recovery.TruncatedBytes = walInfo.TruncatedBytes
+	m.recovery.LastSeq = walInfo.LastSeq
 	if opts.Cursor != nil && !m.recovery.CursorRestored {
 		// First boot of this data directory with a forwarder: make the
 		// freshly minted epoch durable before any traffic is accepted. The

@@ -2,8 +2,10 @@ package persist
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -258,7 +260,7 @@ func TestCheckpointPruningAndRetention(t *testing.T) {
 		}
 		applyOps(t, m, opStream(10, 4))
 		var replayable int
-		if err := m.wal.Replay(0, func(rec Record) error { replayable++; return nil }); err != nil {
+		if _, err := ReadLog(dir, 0, func(rec Record) error { replayable++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		info := m.Info()
@@ -369,5 +371,90 @@ func TestCheckpointSkipsWhenIdle(t *testing.T) {
 	after2, _ := os.Stat(path)
 	if after2.ModTime().Equal(before.ModTime()) {
 		t.Fatal("a logged op did not trigger a new checkpoint")
+	}
+}
+
+// Recovery applies records during its one scan of the log, so corruption
+// in the middle of the log is found after the records before it have been
+// applied. Open must still refuse to start, and what those records cut —
+// the batches a relay would already have forwarded — must be exactly the
+// first batches, in order, that a recovery of the undamaged log cuts:
+// the same (epoch, seq) stream a downstream guard keeps exactly-once.
+func TestMidLogCorruptionRefusesAfterCuttingOnlyThePrefix(t *testing.T) {
+	old := maxSegmentBytes
+	maxSegmentBytes = 2048
+	defer func() { maxSegmentBytes = old }()
+
+	dir := t.TempDir()
+	shuf, srv := newNode()
+	m, err := Open(dir, shuf, srv, Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyOps(t, m, opStream(300, 9))
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	damaged := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(damaged, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := listSegments(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 4 {
+		t.Fatalf("want a log of at least 4 segments, got %d", len(segs))
+	}
+	victim := segs[len(segs)/2].path
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	recoverCuts := func(dir string) ([][]transport.Tuple, error) {
+		var cuts [][]transport.Tuple
+		srv := server.New(server.Config{K: tK, Arms: tArms, D: tD, Alpha: 1})
+		sink := shuffler.SinkFunc(func(b []transport.Tuple) {
+			cuts = append(cuts, slices.Clone(b))
+			srv.Deliver(b)
+		})
+		shuf := shuffler.New(shuffler.Config{BatchSize: tBatch, Threshold: tThr}, sink, rng.New(tSeed).Split("shuffler"))
+		m, err := Open(dir, shuf, srv, Options{Logf: t.Logf})
+		if err == nil {
+			err = m.Close()
+		}
+		return cuts, err
+	}
+	want, err := recoverCuts(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := recoverCuts(damaged)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("recovering a log corrupted mid-way: err = %v, want ErrCorrupt", err)
+	}
+	if len(got) == 0 || len(got) >= len(want) {
+		t.Fatalf("the refused recovery cut %d batches, want a non-empty proper prefix of the clean recovery's %d", len(got), len(want))
+	}
+	for i := range got {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("batch %d cut before the refusal is %v, the clean recovery cut %v", i, got[i], want[i])
+		}
 	}
 }

@@ -56,7 +56,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -192,7 +191,7 @@ func (s segmentInfo) read() ([]byte, error) {
 // disk.
 type RecoveredWAL struct {
 	LastSeq        uint64
-	FirstSeq       uint64 // first sequence the retained segments can hold (ReadLog)
+	FirstSeq       uint64 // first sequence the retained segments can hold
 	Records        int
 	TruncatedBytes int64 // torn bytes at the end of the final segment
 	Segments       int
@@ -200,76 +199,35 @@ type RecoveredWAL struct {
 
 // OpenWAL scans the segments in dir, validates them, truncates a torn tail
 // in the final segment, and opens the log for appending. dir must exist.
+// It applies nothing: Open is the form that replays during the same scan.
 func OpenWAL(dir string) (*WAL, RecoveredWAL, error) {
-	var info RecoveredWAL
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, info, err
-	}
-	w := &WAL{dir: dir}
-	var activeSize int64
-	for i, seg := range segs {
-		// A segment's name records the first sequence it can hold, so even
-		// an empty segment (created by a rotate whose predecessors were
-		// pruned) pins the log position: everything before seg.start is
-		// covered by a checkpoint.
-		if seg.start > 0 && seg.start-1 > w.seq {
-			w.seq = seg.start - 1
-		}
-		data, err := seg.read()
-		if err != nil {
-			return nil, info, err
-		}
-		last := i == len(segs)-1
-		scanned, err := scanSegment(seg, data, w.seq, last, nil)
-		if err != nil {
-			return nil, info, err
-		}
-		if scanned.drop {
-			// Torn segment creation: the process died between creating the
-			// file and fsyncing its header, so no record was ever appended.
-			// Remove the husk; the next append recreates a segment.
-			if err := os.Remove(seg.path); err != nil {
-				return nil, info, fmt.Errorf("persist: removing torn segment %s: %w", seg.path, err)
-			}
-			info.TruncatedBytes += scanned.size
-			continue
-		}
-		size := scanned.size
-		if scanned.truncate >= 0 {
-			// Torn tail: cut the file back to the last whole record.
-			if err := os.Truncate(seg.path, scanned.truncate); err != nil {
-				return nil, info, fmt.Errorf("persist: truncating torn tail of %s: %w", seg.path, err)
-			}
-			info.TruncatedBytes += size - scanned.truncate
-			size = scanned.truncate
-		}
-		if scanned.lastSeq > 0 {
-			w.seq = scanned.lastSeq
-		}
-		info.Records += scanned.records
-		w.segments = append(w.segments, seg)
-		activeSize = size
-	}
-	info.LastSeq = w.seq
-	info.Segments = len(w.segments)
+	return openWAL(dir, 0, nil)
+}
 
+// openWAL is OpenWAL handing every record with sequence greater than after
+// to fn during its one validating scan, before the log opens for appending.
+func openWAL(dir string, after uint64, fn func(Record) error) (*WAL, RecoveredWAL, error) {
+	scan, err := scanLog(dir, after, fn, true)
+	if err != nil {
+		return nil, scan.info, err
+	}
+	w := &WAL{dir: dir, seq: scan.info.LastSeq, segments: scan.segs}
 	if len(w.segments) == 0 {
 		if err := w.newSegmentLocked(w.seq + 1); err != nil {
-			return nil, info, err
+			return nil, scan.info, err
 		}
-	} else {
-		active := w.segments[len(w.segments)-1]
-		f, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, info, fmt.Errorf("persist: opening active segment: %w", err)
-		}
-		w.f = f
-		w.segPath = active.path
-		w.segStart = active.start
-		w.segSize = activeSize
+		return w, scan.info, nil
 	}
-	return w, info, nil
+	active := w.segments[len(w.segments)-1]
+	f, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, scan.info, fmt.Errorf("persist: opening active segment: %w", err)
+	}
+	w.f = f
+	w.segPath = active.path
+	w.segStart = active.start
+	w.segSize = scan.activeSize
+	return w, scan.info, nil
 }
 
 // ReadLog scans dir's log strictly read-only: no truncation, no segment
@@ -279,51 +237,95 @@ func OpenWAL(dir string) (*WAL, RecoveredWAL, error) {
 // torn bytes that a recovery would cut). This is what p2bwal uses, so
 // inspecting a data directory can never corrupt it — not even a live one.
 func ReadLog(dir string, after uint64, fn func(Record) error) (RecoveredWAL, error) {
-	var info RecoveredWAL
+	scan, err := scanLog(dir, after, fn, false)
+	return scan.info, err
+}
+
+// logScan is what one pass over a log directory found.
+type logScan struct {
+	info       RecoveredWAL
+	segs       []segmentInfo // the segments kept, in sequence order
+	activeSize int64         // committed bytes of the last kept segment
+}
+
+// scanLog reads and validates each of dir's segments once, in order, and
+// hands every record with sequence greater than after to fn (nil only
+// validates). A segment that ends at or before after is validated without
+// decoding its records. With repair set this is the recovery scan: a torn
+// tail is truncated and a torn segment husk removed. Without it the scan
+// is read-only and only counts the torn bytes a recovery would cut.
+func scanLog(dir string, after uint64, fn func(Record) error, repair bool) (logScan, error) {
+	scan := logScan{info: RecoveredWAL{FirstSeq: 1}}
 	segs, err := listSegments(dir)
 	if err != nil {
-		return info, err
+		return scan, err
 	}
-	var prevSeq uint64
-	first := uint64(1)
-	kept := 0
-	for i, seg := range segs {
-		if seg.start > 0 && seg.start-1 > prevSeq {
-			prevSeq = seg.start - 1
-		}
-		if kept == 0 {
-			first = seg.start
-		}
-		data, err := seg.read()
-		if err != nil {
-			return info, err
-		}
-		scanned, err := scanSegment(seg, data, prevSeq, i == len(segs)-1, func(rec Record) error {
+	var apply func(Record) error
+	if fn != nil {
+		apply = func(rec Record) error {
 			if rec.Seq <= after {
 				return nil
 			}
 			return fn(rec)
-		})
+		}
+	}
+	var prevSeq uint64
+	for i, seg := range segs {
+		// A segment's name records the first sequence it can hold, so even
+		// an empty segment (created by a rotate whose predecessors were
+		// pruned) pins the log position: everything before seg.start is
+		// covered by a checkpoint.
+		if seg.start > 0 && seg.start-1 > prevSeq {
+			prevSeq = seg.start - 1
+		}
+		if len(scan.segs) == 0 {
+			scan.info.FirstSeq = seg.start
+		}
+		data, err := seg.read()
 		if err != nil {
-			return info, err
+			return scan, err
+		}
+		segApply := apply
+		if i+1 < len(segs) && segs[i+1].start <= after+1 {
+			segApply = nil // every record here is at or before after
+		}
+		scanned, err := scanSegment(seg, data, prevSeq, i == len(segs)-1, segApply)
+		if err != nil {
+			return scan, err
 		}
 		if scanned.drop {
-			info.TruncatedBytes += scanned.size
+			// Torn segment creation: the process died between creating the
+			// file and fsyncing its header, so no record was ever appended.
+			// Remove the husk; the next append recreates a segment.
+			if repair {
+				if err := os.Remove(seg.path); err != nil {
+					return scan, fmt.Errorf("persist: removing torn segment %s: %w", seg.path, err)
+				}
+			}
+			scan.info.TruncatedBytes += scanned.size
 			continue
 		}
+		size := scanned.size
 		if scanned.truncate >= 0 {
-			info.TruncatedBytes += scanned.size - scanned.truncate
+			// Torn tail: cut the file back to the last whole record.
+			if repair {
+				if err := os.Truncate(seg.path, scanned.truncate); err != nil {
+					return scan, fmt.Errorf("persist: truncating torn tail of %s: %w", seg.path, err)
+				}
+			}
+			scan.info.TruncatedBytes += size - scanned.truncate
+			size = scanned.truncate
 		}
 		if scanned.lastSeq > 0 {
 			prevSeq = scanned.lastSeq
 		}
-		info.Records += scanned.records
-		kept++
+		scan.info.Records += scanned.records
+		scan.segs = append(scan.segs, seg)
+		scan.activeSize = size
 	}
-	info.LastSeq = prevSeq
-	info.Segments = kept
-	info.FirstSeq = first
-	return info, nil
+	scan.info.LastSeq = prevSeq
+	scan.info.Segments = len(scan.segs)
+	return scan, nil
 }
 
 // listSegments returns dir's wal-*.seg files sorted by starting sequence.
@@ -384,7 +386,6 @@ func scanSegment(seg segmentInfo, data []byte, prevSeq uint64, last bool, apply 
 	}
 	off := int64(segHeaderLen)
 	var (
-		dec    frameDecoder
 		tuples []transport.Tuple
 		err    error
 	)
@@ -435,7 +436,7 @@ func scanSegment(seg segmentInfo, data []byte, prevSeq uint64, last bool, apply 
 		switch RecordType(typ) {
 		case RecordTuples:
 			if apply != nil {
-				tuples, err = dec.decodeTuplesPayload(payload, tuples[:0])
+				tuples, err = transport.DecodeTuples(tuples[:0], payload)
 				if err != nil {
 					return res, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.path, off, err)
 				}
@@ -452,7 +453,7 @@ func scanSegment(seg segmentInfo, data []byte, prevSeq uint64, last bool, apply 
 		case RecordDeliver:
 			if apply != nil {
 				rec := Record{Seq: seq, Type: RecordDeliver}
-				rec.Origin, rec.Epoch, rec.PeerSeq, tuples, err = dec.decodeDeliverPayload(payload, tuples[:0])
+				rec.Origin, rec.Epoch, rec.PeerSeq, tuples, err = decodeDeliverPayload(payload, tuples[:0])
 				if err != nil {
 					return res, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.path, off, err)
 				}
@@ -508,17 +509,9 @@ func tornHeader(data []byte) bool {
 	return prefix || zero
 }
 
-// frameDecoder decodes the transport batch streams inside one scan's
-// records through a single FrameReader, so a replay allocates the reader's
-// buffers once per segment rather than once per record.
-type frameDecoder struct {
-	src bytes.Reader
-	fr  *transport.FrameReader
-}
-
 // decodeDeliverPayload splits a RecordDeliver payload into its peer
 // position and tuple stream.
-func (d *frameDecoder) decodeDeliverPayload(payload []byte, dst []transport.Tuple) (origin string, epoch, peerSeq uint64, tuples []transport.Tuple, err error) {
+func decodeDeliverPayload(payload []byte, dst []transport.Tuple) (origin string, epoch, peerSeq uint64, tuples []transport.Tuple, err error) {
 	if len(payload) < 1 {
 		return "", 0, 0, dst, errors.New("deliver record payload empty")
 	}
@@ -529,67 +522,8 @@ func (d *frameDecoder) decodeDeliverPayload(payload []byte, dst []transport.Tupl
 	origin = string(payload[1 : 1+olen])
 	epoch = binary.LittleEndian.Uint64(payload[1+olen:])
 	peerSeq = binary.LittleEndian.Uint64(payload[1+olen+8:])
-	tuples, err = d.decodeTuplesPayload(payload[1+olen+16:], dst)
+	tuples, err = transport.DecodeTuples(dst, payload[1+olen+16:])
 	return origin, epoch, peerSeq, tuples, err
-}
-
-// decodeTuplesPayload decodes a record's transport batch stream into dst.
-func (d *frameDecoder) decodeTuplesPayload(payload []byte, dst []transport.Tuple) ([]transport.Tuple, error) {
-	d.src.Reset(payload)
-	var err error
-	if d.fr == nil {
-		d.fr, err = transport.NewFrameReader(&d.src)
-	} else {
-		err = d.fr.Reset(&d.src)
-	}
-	if err != nil {
-		return dst, err
-	}
-	var t transport.Tuple
-	for {
-		if err := d.fr.NextTuple(&t); err != nil {
-			if err == io.EOF {
-				return dst, nil
-			}
-			return dst, err
-		}
-		dst = append(dst, t)
-	}
-}
-
-// Replay walks every record with sequence number greater than after, in
-// order, and hands it to fn. The Tuples slice passed to fn is reused
-// between calls. Replay reads the segment files directly and must not run
-// concurrently with appends; the manager replays before serving traffic.
-func (w *WAL) Replay(after uint64, fn func(Record) error) error {
-	w.mu.Lock()
-	segs := append([]segmentInfo(nil), w.segments...)
-	w.mu.Unlock()
-	prev := after
-	for i, seg := range segs {
-		// Skip segments that end before the replay point.
-		if i+1 < len(segs) && segs[i+1].start <= after+1 {
-			continue
-		}
-		data, err := seg.read()
-		if err != nil {
-			return err
-		}
-		_, err = scanSegment(seg, data, 0, i == len(segs)-1, func(rec Record) error {
-			if rec.Seq <= after {
-				return nil
-			}
-			if rec.Seq <= prev {
-				return fmt.Errorf("%w: %s: replay sequence %d not after %d", ErrCorrupt, seg.path, rec.Seq, prev)
-			}
-			prev = rec.Seq
-			return fn(rec)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ErrSealed is returned by appends after an unrecoverable failure: a

@@ -20,7 +20,7 @@ func testTuples(n int, base int) []transport.Tuple {
 func collectReplay(t *testing.T, w *WAL, after uint64) []Record {
 	t.Helper()
 	var recs []Record
-	err := w.Replay(after, func(rec Record) error {
+	_, err := ReadLog(w.dir, after, func(rec Record) error {
 		recs = append(recs, Record{
 			Seq:    rec.Seq,
 			Type:   rec.Type,
@@ -224,10 +224,12 @@ func TestWALLargeChunkSplitsAcrossRecords(t *testing.T) {
 		t.Fatalf("want 2 records for an oversized chunk, got last seq %d", seq)
 	}
 	var got []transport.Tuple
-	w.Replay(0, func(rec Record) error {
+	if _, err := ReadLog(dir, 0, func(rec Record) error {
 		got = append(got, rec.Tuples...)
 		return nil
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(big) {
 		t.Fatalf("replayed %d tuples, want %d", len(got), len(big))
 	}
@@ -451,7 +453,7 @@ func TestWALSizeBasedRotation(t *testing.T) {
 	}
 	// Every record survives across the rotations.
 	var got int
-	if err := w.Replay(0, func(rec Record) error { got += len(rec.Tuples); return nil }); err != nil {
+	if _, err := ReadLog(dir, 0, func(rec Record) error { got += len(rec.Tuples); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got != 80 {

@@ -94,10 +94,89 @@ type Shuffler struct {
 	r       *rng.Rand
 	stats   Stats
 	metrics Metrics
-	// pool recycles batch buffers (each sized to BatchSize) between the
+	// free recycles batch buffers (each of capacity BatchSize) between the
 	// accumulate -> process -> deliver cycle, so steady-state submission
 	// allocates nothing.
-	pool sync.Pool
+	free [][]transport.Tuple
+	// counts is the thresholding step's code-frequency table, reused by
+	// every cut under mu.
+	counts codeCounts
+}
+
+// codeCounts counts code occurrences within one batch: an open-addressing
+// hash table reused across cuts. A slot belongs to the current batch only
+// while its stamp equals gen, so starting a batch costs one increment
+// rather than clearing the table, and a steady stream of cuts allocates
+// nothing.
+type codeCounts struct {
+	slots []countSlot // len is a power of two, at least twice the batch
+	shift uint        // 64 - log2(len(slots))
+	gen   uint32
+}
+
+type countSlot struct {
+	code int
+	gen  uint32 // batch the slot was last written in; 0 = never
+	n    int32
+}
+
+// reset starts a new batch of up to n tuples.
+func (c *codeCounts) reset(n int) {
+	if 2*n > len(c.slots) {
+		c.shift = 61
+		for 1<<(64-c.shift) < 2*n {
+			c.shift--
+		}
+		c.slots = make([]countSlot, 1<<(64-c.shift))
+		c.gen = 0
+	}
+	c.gen++
+	if c.gen == 0 {
+		// The stamp wrapped: stamps from 2^32 batches ago would read as
+		// live, so wipe them once and start over.
+		clear(c.slots)
+		c.gen = 1
+	}
+}
+
+// slot returns the index of code's slot in the current batch: the slot
+// holding it, or the empty slot where it belongs. The table is never more
+// than half full, so the probe ends.
+func (c *codeCounts) slot(code int) int {
+	mask := len(c.slots) - 1
+	i := c.home(code)
+	for {
+		s := &c.slots[i]
+		if s.gen != c.gen || s.code == code {
+			return i
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// home is where code's probe starts. Fibonacci hashing: the top bits of
+// the product mix every bit of the code, so clustered and strided codes
+// spread across the table.
+func (c *codeCounts) home(code int) int {
+	return int((uint64(code) * 0x9e3779b97f4a7c15) >> c.shift)
+}
+
+// add counts one occurrence of code in the current batch.
+func (c *codeCounts) add(code int) {
+	s := &c.slots[c.slot(code)]
+	if s.gen != c.gen {
+		*s = countSlot{code: code, gen: c.gen}
+	}
+	s.n++
+}
+
+// count returns how often code occurred in the current batch.
+func (c *codeCounts) count(code int) int {
+	s := &c.slots[c.slot(code)]
+	if s.gen != c.gen {
+		return 0
+	}
+	return int(s.n)
 }
 
 // New returns a shuffler delivering to sink, shuffling with randomness from
@@ -113,10 +192,18 @@ func New(cfg Config, sink Sink, r *rng.Rand) *Shuffler {
 		panic("shuffler: nil sink")
 	}
 	s := &Shuffler{cfg: cfg, sink: sink, r: r}
-	s.pool.New = func() any {
-		return make([]transport.Tuple, 0, cfg.BatchSize)
-	}
+	s.counts.reset(cfg.BatchSize)
 	return s
+}
+
+// takeBufLocked returns an empty batch buffer, recycled when one is free.
+func (s *Shuffler) takeBufLocked() []transport.Tuple {
+	if n := len(s.free); n > 0 {
+		buf := s.free[n-1]
+		s.free = s.free[:n-1]
+		return buf
+	}
+	return make([]transport.Tuple, 0, s.cfg.BatchSize)
 }
 
 // Submit accepts one envelope. Metadata is stripped immediately — identity
@@ -128,7 +215,7 @@ func (s *Shuffler) Submit(e transport.Envelope) {
 	s.mu.Lock()
 	s.stats.Received++
 	if s.buf == nil {
-		s.buf = s.pool.Get().([]transport.Tuple)
+		s.buf = s.takeBufLocked()
 	}
 	s.buf = append(s.buf, e.Tuple) // anonymization: Meta is dropped here
 	var batch []transport.Tuple
@@ -160,12 +247,15 @@ func (s *Shuffler) SubmitTuples(tuples []transport.Tuple) {
 	if len(tuples) == 0 {
 		return
 	}
-	var full [][]transport.Tuple
+	// A chunk rarely spans more than a few batches; the array keeps the
+	// common case off the heap.
+	var cuts [4][]transport.Tuple
+	full := cuts[:0]
 	s.mu.Lock()
 	s.stats.Received += int64(len(tuples))
 	for len(tuples) > 0 {
 		if s.buf == nil {
-			s.buf = s.pool.Get().([]transport.Tuple)
+			s.buf = s.takeBufLocked()
 		}
 		n := s.cfg.BatchSize - len(s.buf)
 		if n > len(tuples) {
@@ -212,18 +302,17 @@ func (s *Shuffler) process(batch []transport.Tuple, explicit bool) {
 	s.r.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 
 	// Thresholding: count code frequencies, keep only crowd members.
-	freq := make(map[int]int, len(batch))
+	s.counts.reset(len(batch))
 	for _, t := range batch {
-		freq[t.Code]++
+		s.counts.add(t.Code)
 	}
 	kept := batch[:0]
 	for _, t := range batch {
-		if freq[t.Code] >= s.cfg.Threshold {
+		if s.counts.count(t.Code) >= s.cfg.Threshold {
 			kept = append(kept, t)
-		} else {
-			s.stats.Dropped++
 		}
 	}
+	s.stats.Dropped += int64(len(batch) - len(kept))
 	s.stats.Forwarded += int64(len(kept))
 	s.stats.Batches++
 	s.mu.Unlock()
@@ -233,7 +322,9 @@ func (s *Shuffler) process(batch []transport.Tuple, explicit bool) {
 	}
 	// The sink contract forbids retaining the slice, so the buffer can be
 	// recycled for a future batch once Deliver returns.
-	s.pool.Put(batch[:0])
+	s.mu.Lock()
+	s.free = append(s.free, batch[:0])
+	s.mu.Unlock()
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -279,7 +370,7 @@ func (s *Shuffler) Drain() (*State, error) {
 		RNG:     rngState,
 	}
 	if s.buf != nil {
-		s.pool.Put(s.buf[:0])
+		s.free = append(s.free, s.buf[:0])
 		s.buf = nil
 	}
 	s.stats = Stats{}
@@ -307,7 +398,7 @@ func (s *Shuffler) Restore(st *State) error {
 		}
 	}
 	if len(st.Pending) > 0 {
-		s.buf = append(s.pool.Get().([]transport.Tuple), st.Pending...)
+		s.buf = append(s.takeBufLocked(), st.Pending...)
 	}
 	s.stats = st.Stats
 	return nil

@@ -390,3 +390,19 @@ func TestSubmitTuplesConcurrent(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 }
+
+// TestCutAllocatesNothing: once warm, a full-batch SubmitTuples — append,
+// cut, shuffle, threshold, deliver, recycle — makes no heap allocation.
+// The cut runs for every batch a node ingests and for every batch a
+// recovery replays, so a per-cut allocation is paid millions of times.
+func TestCutAllocatesNothing(t *testing.T) {
+	s := New(Config{BatchSize: 256, Threshold: 4}, SinkFunc(func([]transport.Tuple) {}), rng.New(1))
+	batch := tupleStream(256, 64, 1)
+	s.SubmitTuples(batch)
+	if allocs := testing.AllocsPerRun(200, func() { s.SubmitTuples(batch) }); allocs != 0 {
+		t.Fatalf("a full-batch SubmitTuples allocated %v times per call, want 0", allocs)
+	}
+	if st := s.Stats(); st.Batches != 202 || st.Forwarded == 0 || st.Dropped == 0 {
+		t.Fatalf("the cuts did not threshold: %+v", st)
+	}
+}

@@ -197,24 +197,34 @@ func (fr *FrameReader) readFrame() ([]byte, error) {
 	return body, nil
 }
 
-// frameErr annotates a parse failure with the frame index (readFrame has
-// already advanced fr.n past this frame).
-func (fr *FrameReader) frameErr(what string) error {
-	return fmt.Errorf("transport: frame %d: malformed %s", fr.n-1, what)
+// frameErr annotates a parse failure in frame body number frame.
+func frameErr(frame int, what string) error {
+	return fmt.Errorf("transport: frame %d: malformed %s", frame, what)
 }
 
-func (fr *FrameReader) uvarint(body []byte, at int, what string) (uint64, int, error) {
+// uvarintAt and varintAt read one varint of a frame body at at. A value
+// below 128 — every metadata length, action and small code a device
+// sends — is one byte, decoded inline; longer ones go through
+// encoding/binary.
+func uvarintAt(body []byte, at, frame int, what string) (uint64, int, error) {
+	if at < len(body) && body[at] < 0x80 {
+		return uint64(body[at]), at + 1, nil
+	}
 	v, w := binary.Uvarint(body[at:])
 	if w <= 0 {
-		return 0, 0, fr.frameErr(what)
+		return 0, 0, frameErr(frame, what)
 	}
 	return v, at + w, nil
 }
 
-func (fr *FrameReader) varint(body []byte, at int, what string) (int64, int, error) {
+func varintAt(body []byte, at, frame int, what string) (int64, int, error) {
+	if at < len(body) && body[at] < 0x80 {
+		ux := int64(body[at])
+		return ux>>1 ^ -(ux & 1), at + 1, nil // zig-zag
+	}
 	v, w := binary.Varint(body[at:])
 	if w <= 0 {
-		return 0, 0, fr.frameErr(what)
+		return 0, 0, frameErr(frame, what)
 	}
 	return v, at + w, nil
 }
@@ -227,45 +237,46 @@ func (fr *FrameReader) Next(e *Envelope) error {
 	if err != nil {
 		return err
 	}
-	metaLen, at, err := fr.uvarint(body, 0, "metadata length")
+	frame := fr.n - 1
+	metaLen, at, err := uvarintAt(body, 0, frame, "metadata length")
 	if err != nil {
 		return err
 	}
 	if metaLen > uint64(len(body)-at) {
-		return fr.frameErr("metadata length")
+		return frameErr(frame, "metadata length")
 	}
 	*e = Envelope{}
 	if metaLen > 0 {
 		meta := body[at : at+int(metaLen)]
 		m := 0
-		devLen, m, err := fr.uvarint(meta, m, "device id length")
+		devLen, m, err := uvarintAt(meta, m, frame, "device id length")
 		if err != nil {
 			return err
 		}
 		if devLen > uint64(len(meta)-m) {
-			return fr.frameErr("device id length")
+			return frameErr(frame, "device id length")
 		}
 		e.Meta.DeviceID = string(meta[m : m+int(devLen)])
 		m += int(devLen)
-		addrLen, m, err := fr.uvarint(meta, m, "addr length")
+		addrLen, m, err := uvarintAt(meta, m, frame, "addr length")
 		if err != nil {
 			return err
 		}
 		if addrLen > uint64(len(meta)-m) {
-			return fr.frameErr("addr length")
+			return frameErr(frame, "addr length")
 		}
 		e.Meta.Addr = string(meta[m : m+int(addrLen)])
 		m += int(addrLen)
-		sentAt, m, err := fr.varint(meta, m, "sent-at timestamp")
+		sentAt, m, err := varintAt(meta, m, frame, "sent-at timestamp")
 		if err != nil {
 			return err
 		}
 		if m != len(meta) {
-			return fr.frameErr("metadata (trailing bytes)")
+			return frameErr(frame, "metadata (trailing bytes)")
 		}
 		e.Meta.SentAt = sentAt
 	}
-	return fr.tuple(body, at+int(metaLen), &e.Tuple)
+	return tupleAt(body, at+int(metaLen), frame, &e.Tuple)
 }
 
 // NextTuple decodes only the tuple of the next envelope, skipping the
@@ -277,28 +288,81 @@ func (fr *FrameReader) NextTuple(t *Tuple) error {
 	if err != nil {
 		return err
 	}
-	metaLen, at, err := fr.uvarint(body, 0, "metadata length")
+	return bodyTuple(body, fr.n-1, t)
+}
+
+// DecodeTuples decodes a complete in-memory batch stream, appending the
+// tuple of every frame to dst and returning the extended slice. It accepts
+// exactly the streams a FrameReader drains with NextTuple to a clean
+// io.EOF — the same magic, frame bound and frame-body rules — and refuses
+// the rest, but walks the bytes in place: no reader, no frame copy, and no
+// allocation beyond growing dst. The WAL and the checkpoint, whose records
+// are read whole, decode their tuple streams through it. On error the
+// tuples decoded before the bad frame are returned with it.
+func DecodeTuples(dst []Tuple, stream []byte) ([]Tuple, error) {
+	if len(stream) < len(Magic) {
+		err := io.ErrUnexpectedEOF
+		if len(stream) == 0 {
+			err = io.EOF
+		}
+		return dst, fmt.Errorf("transport: reading batch magic: %w", err)
+	}
+	if string(stream[:len(Magic)]) != Magic {
+		return dst, ErrBadMagic
+	}
+	rest := stream[len(Magic):]
+	for frame := 0; len(rest) > 0; frame++ {
+		n, w := binary.Uvarint(rest)
+		if w <= 0 {
+			if w == 0 {
+				return dst, fmt.Errorf("transport: frame %d length prefix: %w", frame, io.ErrUnexpectedEOF)
+			}
+			return dst, fmt.Errorf("transport: frame %d length prefix: varint overflows a 64-bit integer", frame)
+		}
+		if n > MaxFrameBytes {
+			return dst, fmt.Errorf("transport: frame %d: %w", frame, ErrFrameTooLarge)
+		}
+		rest = rest[w:]
+		if uint64(len(rest)) < n {
+			return dst, fmt.Errorf("transport: frame %d body (%d bytes): %w", frame, n, io.ErrUnexpectedEOF)
+		}
+		var t Tuple
+		if err := bodyTuple(rest[:n], frame, &t); err != nil {
+			return dst, err
+		}
+		dst = append(dst, t)
+		rest = rest[n:]
+	}
+	return dst, nil
+}
+
+// bodyTuple decodes the tuple of one frame body, skipping its metadata
+// section unread. It is the frame-body rule NextTuple and DecodeTuples
+// share: a metadata length that fits the body, code and action varints,
+// then exactly 8 bytes of reward.
+func bodyTuple(body []byte, frame int, t *Tuple) error {
+	metaLen, at, err := uvarintAt(body, 0, frame, "metadata length")
 	if err != nil {
 		return err
 	}
 	if metaLen > uint64(len(body)-at) {
-		return fr.frameErr("metadata length")
+		return frameErr(frame, "metadata length")
 	}
-	return fr.tuple(body, at+int(metaLen), t)
+	return tupleAt(body, at+int(metaLen), frame, t)
 }
 
-// tuple decodes the trailing tuple section of a frame body starting at at.
-func (fr *FrameReader) tuple(body []byte, at int, t *Tuple) error {
-	code, at, err := fr.varint(body, at, "code")
+// tupleAt decodes the trailing tuple section of a frame body starting at at.
+func tupleAt(body []byte, at, frame int, t *Tuple) error {
+	code, at, err := varintAt(body, at, frame, "code")
 	if err != nil {
 		return err
 	}
-	action, at, err := fr.varint(body, at, "action")
+	action, at, err := varintAt(body, at, frame, "action")
 	if err != nil {
 		return err
 	}
 	if len(body)-at != 8 {
-		return fr.frameErr("reward (want exactly 8 trailing bytes)")
+		return frameErr(frame, "reward (want exactly 8 trailing bytes)")
 	}
 	t.Code = int(code)
 	t.Action = int(action)

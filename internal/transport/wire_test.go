@@ -329,3 +329,33 @@ func FuzzFrameReader(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeTuples holds the in-memory batch decoder to the streaming one:
+// on the same bytes DecodeTuples must accept exactly when a FrameReader
+// drains the stream with NextTuple to a clean io.EOF, and both must yield
+// the same tuples — on a refused stream, the same tuples before the bad
+// frame. DecodeTuples appends to dst without disturbing what dst holds.
+// The seeds are the SDK's golden report bodies plus WAL-shaped streams and
+// their edge cases.
+func FuzzDecodeTuples(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := readTuples(data)
+		got, err := DecodeTuples(nil, data)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeTuples error %v, FrameReader error %v", err, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("DecodeTuples read %d tuples (%v), FrameReader %d (%v)", len(got), err, len(want), wantErr)
+		}
+		for i := range want {
+			if !sameTuple(got[i], want[i]) {
+				t.Fatalf("tuple %d: DecodeTuples %+v, FrameReader %+v", i, got[i], want[i])
+			}
+		}
+		head := Tuple{Code: -1, Action: -1, Reward: -1}
+		again, _ := DecodeTuples([]Tuple{head}, data)
+		if len(again) != 1+len(got) || again[0] != head {
+			t.Fatalf("decoding after a held tuple gave %d tuples starting %+v", len(again), again[0])
+		}
+	})
+}
