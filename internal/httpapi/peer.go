@@ -21,7 +21,10 @@
 //
 // Both POST routes answer 200 with a topology.PeerAck naming whether the
 // payload changed state; a duplicate or stale payload acks applied=false,
-// which senders treat as success. When the node was started with a peer
+// which senders treat as success. A duplicate /peer/ingest ack also
+// carries the origin's guard seq under the batch's epoch, so a relay
+// replaying its WAL tail stops sending batches that mark already covers
+// (applied acks stay {"applied":true}). When the node was started with a peer
 // token, requests must carry it as a bearer token; the digest and contrib
 // GETs are authenticated too — they hand out model state, exactly what
 // the merge route accepts.
@@ -166,7 +169,16 @@ func newPeerHandler(srv *server.Server, opts *PeerOptions, adm *Admission, nm *n
 			writeBodyError(w, ingestError{err})
 			return
 		}
-		writeJSON(w, topology.PeerAck{Applied: applied})
+		ack := topology.PeerAck{Applied: applied}
+		if !applied {
+			// The guard's mark covers this batch and maybe more of the
+			// relay's stream: saying how far lets a replaying relay skip
+			// the rest instead of asking about each batch in turn.
+			if pos := srv.RelayPosition(origin); pos.Epoch == epoch {
+				ack.Seq = pos.Seq
+			}
+		}
+		writeJSON(w, ack)
 	})))
 	mux.HandleFunc("POST /merge", nm.wrap("peer_merge", adm.guard(func(w http.ResponseWriter, r *http.Request) {
 		if !opts.authorized(r) {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"p2b/internal/metrics"
+	"p2b/internal/persist"
 	"p2b/internal/rng"
 	"p2b/internal/server"
 	"p2b/internal/shuffler"
@@ -396,5 +397,67 @@ func TestRelayHandlerEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(body, "p2b_forward_tuples_total 8") {
 		t.Fatalf("forward tuple counter drifted:\n%s", body)
+	}
+}
+
+// A duplicate /peer/ingest ack states the origin's guard seq — on the
+// in-memory path and the durable one alike — while an applied ack stays
+// exactly {"applied":true}.
+func TestPeerIngestDuplicateAckStatesGuardSeq(t *testing.T) {
+	_, mem := newAnalyzer(t, "analyzer-1", "")
+
+	srv := server.New(server.Config{K: 8, Arms: 4, D: 3, Alpha: 1, Seed: 1})
+	shuf := shuffler.New(shuffler.Config{BatchSize: 4, Threshold: 0}, srv, rng.New(2))
+	m, err := persist.Open(t.TempDir(), shuf, srv, persist.Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	durable := httptest.NewServer(NewNodeHandlerOpts(shuf, srv, NodeOptions{
+		Ingest: m,
+		Peer:   &PeerOptions{Origin: "analyzer-1", Deliver: m.DeliverPeer},
+	}))
+	t.Cleanup(durable.Close)
+
+	body := transport.AppendTuples(nil, peerBatch(3))
+	for name, ts := range map[string]*httptest.Server{"in-memory": mem, "durable": durable} {
+		post := func(epoch, seq int) string {
+			t.Helper()
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/peer/ingest", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", transport.ContentTypeBinary)
+			req.Header.Set(topology.OriginHeader, "relay-1")
+			req.Header.Set(topology.EpochHeader, fmt.Sprint(epoch))
+			req.Header.Set(topology.SeqHeader, fmt.Sprint(seq))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			_, _ = buf.ReadFrom(resp.Body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: (epoch %d, seq %d): status %d: %s", name, epoch, seq, resp.StatusCode, buf.Bytes())
+			}
+			return strings.TrimSpace(buf.String())
+		}
+		for _, step := range []struct {
+			epoch, seq int
+			want       string
+		}{
+			{7, 1, `{"applied":true}`},
+			{7, 2, `{"applied":true}`},
+			{7, 3, `{"applied":true}`},
+			{7, 1, `{"applied":false,"seq":3}`}, // a replay: the mark covers two more
+			{7, 3, `{"applied":false,"seq":3}`}, // a retry after a lost response
+			{8, 1, `{"applied":true}`},          // a fresh epoch restarts the stream
+			{8, 1, `{"applied":false,"seq":1}`},
+		} {
+			if got := post(step.epoch, step.seq); got != step.want {
+				t.Errorf("%s: (epoch %d, seq %d) acked %s, want %s", name, step.epoch, step.seq, got, step.want)
+			}
+		}
 	}
 }

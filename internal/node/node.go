@@ -283,6 +283,14 @@ func (n *Node) openPersist(reg *metrics.Registry, opts *httpapi.NodeOptions) err
 		n.fwd.SetSync(mgr.SyncWAL)
 		epoch, seq := n.fwd.Cursor()
 		n.cfg.Logf("node: relay cursor epoch %d seq %d (restored: %v)", epoch, seq, mgr.Recovery().CursorRestored)
+		// The forwarder was built for this boot, so its counters so far are
+		// exactly what the WAL-tail replay re-derived and re-forwarded.
+		st := n.fwd.Stats()
+		if rederived := st.Batches + st.Dropped; rederived > 0 {
+			covered, pos := n.fwd.Covered()
+			n.cfg.Logf("node: relay replay re-derived %d batches: %d sent, %d covered by downstream seq %d",
+				rederived, rederived-covered, covered, pos.Seq)
+		}
 	}
 	rec := mgr.Recovery()
 	n.cfg.Logf("node: durable in %s (checkpoint seq %d, replayed %d records, wal at seq %d)",

@@ -129,6 +129,16 @@ func (s *Server) PeerBatchSeen(origin string, epoch, seq uint64) bool {
 	return ok && last.Covers(epoch, seq)
 }
 
+// RelayPosition returns the relay duplicate guard's high-water mark for
+// origin (zero when the origin never delivered). /peer/ingest states it
+// on a duplicate ack, so a relay re-forwarding its WAL tail learns in one
+// round trip how much of that tail this analyzer already holds.
+func (s *Server) RelayPosition(origin string) PeerSeq {
+	s.peers.mu.Lock()
+	defer s.peers.mu.Unlock()
+	return s.peers.relays[origin]
+}
+
 // NoteRelayDuplicate counts one relay batch suppressed outside
 // DeliverPeerBatch. The durable path dedups with PeerBatchSeen before
 // logging (so duplicates never reach the WAL) and must report the

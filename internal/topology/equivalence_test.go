@@ -208,7 +208,7 @@ func TestRelayRetransmitSameEpochIsDeduplicated(t *testing.T) {
 	a, aURL := eqServe(t, eqConfig(topology.RoleAnalyzer, "analyzer-1", 6))
 
 	batches := eqBatches(3, 5)
-	deliverAll := func() {
+	deliverAll := func() topology.ForwardStats {
 		fwd, err := topology.NewForwarder(aURL, topology.ForwarderOptions{
 			Origin: "relay-1", Epoch: 99, RetryBase: time.Millisecond,
 		})
@@ -218,15 +218,23 @@ func TestRelayRetransmitSameEpochIsDeduplicated(t *testing.T) {
 		for _, b := range batches {
 			fwd.Deliver(b)
 		}
+		return fwd.Stats()
 	}
-	deliverAll()
+	if st := deliverAll(); st.Batches != 3 || st.Duplicates != 0 {
+		t.Fatalf("first forward stats = %+v, want 3 batches and no duplicates", st)
+	}
 	want := fetchModel(t, aURL)
-	deliverAll() // the "restarted relay re-forwards its whole log" case
+	// The "restarted relay re-forwards its whole log" case: every batch
+	// counts as a duplicate on the relay, but only the first is asked
+	// about — its ack states seq 3, which covers the other two.
+	if st := deliverAll(); st.Batches != 3 || st.Duplicates != 3 || st.Dropped != 0 {
+		t.Fatalf("re-forward stats = %+v, want 3 batches, all duplicates", st)
+	}
 	if got := fetchModel(t, aURL); got != want {
 		t.Fatal("re-forwarded batches changed the model: duplicate guard failed")
 	}
 	_, _, rb, rd := a.Server().PeerCounters()
-	if rb != 3 || rd != 3 {
-		t.Fatalf("relay counters = applied %d duplicates %d, want 3/3", rb, rd)
+	if rb != 3 || rd != 1 {
+		t.Fatalf("analyzer relay counters = applied %d duplicates %d, want 3/1", rb, rd)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"p2b/internal/rng"
+	"p2b/internal/server"
 	"p2b/internal/transport"
 )
 
@@ -30,7 +31,7 @@ const (
 type ForwardStats struct {
 	Batches    int64  `json:"batches"`    // batches delivered (including duplicate-acked)
 	Tuples     int64  `json:"tuples"`     // tuples inside delivered batches
-	Duplicates int64  `json:"duplicates"` // batches the analyzer acked as already applied
+	Duplicates int64  `json:"duplicates"` // batches the analyzer already held: acked applied=false, or covered by a duplicate ack's seq and not sent
 	Retries    int64  `json:"retries"`    // send attempts beyond the first
 	Dropped    int64  `json:"dropped"`    // batches abandoned after the retry budget
 	LastError  string `json:"last_error,omitempty"`
@@ -81,6 +82,11 @@ type Forwarder struct {
 	sync  func() error // pre-send durability hook, see SetSync
 	enc   []byte
 	stats ForwardStats
+	// covered is the analyzer's guard position as a duplicate ack last
+	// stated it; skipped counts the batches it covered, which Deliver
+	// counts as duplicate-acked without sending.
+	covered server.PeerSeq
+	skipped int64
 }
 
 // NewForwarder returns a forwarder delivering to the analyzer at
@@ -140,6 +146,15 @@ func (f *Forwarder) SetSync(sync func() error) {
 	f.sync = sync
 }
 
+// Covered returns how many batches were counted as duplicates without a
+// send, and the downstream position that covered them (zero until a
+// duplicate ack states one past the batch it answers).
+func (f *Forwarder) Covered() (batches int64, pos server.PeerSeq) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.skipped, f.covered
+}
+
 // Downstream returns the analyzer base URL this forwarder delivers to.
 func (f *Forwarder) Downstream() string { return f.downstream }
 
@@ -155,6 +170,12 @@ func (f *Forwarder) Stats() ForwardStats {
 // retry budget is dropped and counted — the alternative, buffering
 // unbounded batches inside the relay, would turn a downstream outage into
 // a relay OOM; operators alert on the dropped counter instead.
+//
+// A batch the analyzer already said it holds — same epoch, seq at or
+// below the mark a duplicate ack carried — is counted as duplicate-acked
+// and not sent: by the analyzer's own Covers rule, sending it would only
+// earn that ack. This is what makes a restarted relay's WAL-tail replay
+// cost one round trip instead of one per batch.
 func (f *Forwarder) Deliver(batch []transport.Tuple) {
 	if len(batch) == 0 {
 		return
@@ -176,8 +197,15 @@ func (f *Forwarder) Deliver(batch []transport.Tuple) {
 		}
 	}
 	f.seq++
+	if f.covered.Covers(f.epoch, f.seq) {
+		f.stats.Batches++
+		f.stats.Tuples += int64(len(batch))
+		f.stats.Duplicates++
+		f.skipped++
+		return
+	}
 	f.enc = transport.AppendTuples(f.enc[:0], batch)
-	applied, err := f.sendLocked(f.seq, f.enc, len(batch))
+	ack, err := f.sendLocked(f.seq, f.enc, len(batch))
 	if err != nil {
 		f.stats.Dropped++
 		f.stats.LastError = err.Error()
@@ -188,16 +216,22 @@ func (f *Forwarder) Deliver(batch []transport.Tuple) {
 	}
 	f.stats.Batches++
 	f.stats.Tuples += int64(len(batch))
-	if !applied {
+	if !ack.Applied {
 		f.stats.Duplicates++
+		// Only a mark past this batch says anything new. A retry after a
+		// lost response is acked at exactly the seq sent, so it never
+		// opens a skip.
+		if ack.Seq > f.seq {
+			f.covered = server.PeerSeq{Epoch: f.epoch, Seq: ack.Seq}
+		}
 	}
 }
 
 // sendLocked posts one encoded batch, retrying transient failures on the
 // shared backoff ladder (honoring the admission gate's Retry-After). It
-// returns whether the analyzer applied the batch (false = duplicate, which
-// is success: the data is already in).
-func (f *Forwarder) sendLocked(seq uint64, body []byte, n int) (bool, error) {
+// returns the analyzer's ack; applied=false is a duplicate, which is
+// success: the data is already in.
+func (f *Forwarder) sendLocked(seq uint64, body []byte, n int) (PeerAck, error) {
 	url := f.downstream + "/peer/ingest"
 	ladder := f.backoff.Ladder()
 	var lastErr error
@@ -208,7 +242,7 @@ func (f *Forwarder) sendLocked(seq uint64, body []byte, n int) (bool, error) {
 		}
 		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 		if err != nil {
-			return false, fmt.Errorf("topology: building peer request: %w", err)
+			return PeerAck{}, fmt.Errorf("topology: building peer request: %w", err)
 		}
 		req.Header.Set("Content-Type", transport.ContentTypeBinary)
 		req.Header.Set(OriginHeader, f.opts.Origin)
@@ -222,36 +256,43 @@ func (f *Forwarder) sendLocked(seq uint64, body []byte, n int) (bool, error) {
 			lastErr = err
 			continue
 		}
-		applied, err := decodePeerAck(resp)
+		ack, err := decodePeerAck(resp)
 		if err != nil {
 			lastErr = err
 			if !transport.RetryableStatus(resp.StatusCode) {
-				return false, err
+				return PeerAck{}, err
 			}
 			ladder.Hint(transport.ParseRetryAfter(resp.Header.Get("Retry-After")))
 			continue
 		}
-		return applied, nil
+		return ack, nil
 	}
-	return false, fmt.Errorf("topology: forwarding batch of %d to %s: %w", n, url, lastErr)
+	return PeerAck{}, fmt.Errorf("topology: forwarding batch of %d to %s: %w", n, url, lastErr)
 }
 
 // PeerAck is the JSON response of /peer/ingest and /peer/merge: whether
 // the payload changed analyzer state (false = duplicate or stale, which
 // the sender treats as success).
+//
+// A duplicate /peer/ingest ack also states Seq, the analyzer's relay-guard
+// high-water mark for the origin, when the guard holds the batch's own
+// epoch. Every batch of that epoch at or below it would be dropped the
+// same way, so the forwarder skips them. Applied acks, merge acks and
+// analyzers predating the field omit it, and then every batch is sent.
 type PeerAck struct {
-	Applied bool `json:"applied"`
+	Applied bool   `json:"applied"`
+	Seq     uint64 `json:"seq,omitempty"`
 }
 
-func decodePeerAck(resp *http.Response) (bool, error) {
+func decodePeerAck(resp *http.Response) (PeerAck, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return false, fmt.Errorf("topology: peer answered %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
+		return PeerAck{}, fmt.Errorf("topology: peer answered %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
 	var ack PeerAck
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&ack); err != nil {
-		return false, fmt.Errorf("topology: decoding peer ack: %w", err)
+		return PeerAck{}, fmt.Errorf("topology: decoding peer ack: %w", err)
 	}
-	return ack.Applied, nil
+	return ack, nil
 }
