@@ -109,10 +109,12 @@ type Manager struct {
 //     the shuffler's pending buffer + RNG position from it.
 //  2. Scan the WAL once, segment by segment: each segment is read and
 //     CRC-checked a single time, and every record past the checkpoint is
-//     applied as the scan reaches it, through the regular submission path,
+//     applied in log order through the regular submission path,
 //     reproducing batch boundaries, shuffles and threshold decisions
-//     exactly. A torn tail in the final segment is truncated once the scan
-//     has passed the last whole record.
+//     exactly. Reading and decoding run ahead of applying, which happens
+//     on a second goroutine that Open waits for (see scanLog). A torn tail
+//     in the final segment is truncated once every whole record is
+//     applied.
 //
 // Corruption anywhere still refuses to start, but the records before it
 // have already been applied when the scan finds it. That state is
@@ -167,7 +169,8 @@ func Open(dir string, shuf *shuffler.Shuffler, srv *server.Server, opts Options)
 	}
 
 	// One pass reads and CRC-checks each segment, applying every record
-	// past the checkpoint as the scan reaches it.
+	// past the checkpoint in log order.
+	replayStart := walClock()
 	wal, walInfo, err := openWAL(dir, m.ckptSeq, func(rec Record) error {
 		m.recovery.ReplayedRecords++
 		switch rec.Type {
@@ -201,6 +204,7 @@ func Open(dir string, shuf *shuffler.Shuffler, srv *server.Server, opts Options)
 	if err != nil {
 		return nil, err
 	}
+	replayed := walClock().Sub(replayStart)
 	if walInfo.LastSeq < m.ckptSeq {
 		wal.Close()
 		return nil, fmt.Errorf("%w: checkpoint covers sequence %d but the log ends at %d", ErrCorrupt, m.ckptSeq, walInfo.LastSeq)
@@ -226,9 +230,9 @@ func Open(dir string, shuf *shuffler.Shuffler, srv *server.Server, opts Options)
 		}
 	}
 	if m.recovery.CheckpointSeq > 0 || m.recovery.ReplayedRecords > 0 || m.recovery.TruncatedBytes > 0 {
-		opts.Logf("persist: recovered from %s: checkpoint seq %d, replayed %d records (%d tuples, %d flushes), truncated %d torn bytes, log at seq %d",
+		opts.Logf("persist: recovered from %s: checkpoint seq %d, replayed %d records (%d tuples, %d flushes), truncated %d torn bytes, log at seq %d in %.1fms",
 			dir, m.recovery.CheckpointSeq, m.recovery.ReplayedRecords, m.recovery.ReplayedTuples,
-			m.recovery.ReplayedFlushes, m.recovery.TruncatedBytes, m.recovery.LastSeq)
+			m.recovery.ReplayedFlushes, m.recovery.TruncatedBytes, m.recovery.LastSeq, replayed.Seconds()*1000)
 	}
 
 	go m.background()

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+
+	"p2b/internal/transport"
 )
 
 // allocated reports the heap bytes fn allocates.
@@ -57,6 +59,22 @@ func TestReadLogAllocatesAtMostTwiceTheLogPerRecord(t *testing.T) {
 	if perRecord, limit := grew/records, 2*uint64(fi.Size())/records; perRecord > limit {
 		t.Fatalf("ReadLog allocated %d bytes per record, limit %d", perRecord, limit)
 	}
+}
+
+// scanSegment scans one whole in-memory segment the way recovery scans a
+// file, calling apply (when non-nil) on every valid record as the scan
+// reaches it: the serial form of the scanner, which the fuzzer and the
+// replay property test's reference drive.
+func scanSegment(seg segmentInfo, data []byte, prevSeq uint64, last bool, apply func(Record) error) (scanResult, error) {
+	whole := &segWindow{buf: data, size: int64(len(data))}
+	if apply == nil {
+		return scanRecords(seg, whole, prevSeq, last, nil, nil)
+	}
+	var tuples []transport.Tuple
+	return scanRecords(seg, whole, prevSeq, last, &tuples, func(rec Record, _ int) error {
+		tuples = tuples[:0]
+		return apply(rec)
+	})
 }
 
 // fuzzSeg names the segment under test in scanner errors.
@@ -132,7 +150,7 @@ func validSegment(tb testing.TB) []byte {
 	if err != nil || len(segs) != 1 {
 		tb.Fatalf("segments %v, err %v", segs, err)
 	}
-	data, err := segs[0].read()
+	data, err := os.ReadFile(segs[0].path)
 	if err != nil {
 		tb.Fatal(err)
 	}

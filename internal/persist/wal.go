@@ -56,6 +56,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -85,10 +86,21 @@ const (
 )
 
 // maxSegmentBytes caps the active segment: appends rotate to a fresh
-// segment once it fills. Scans (recovery, p2bwal) read one whole segment
-// at a time, so this bound is also the recovery memory bound. A variable
-// so tests can exercise rotation without writing 64 MiB.
+// segment once it fills, so pruning can reclaim the log in bounded steps.
+// Scans (recovery, p2bwal) never hold a whole segment: they read through a
+// scanChunk window. A variable so tests can exercise rotation without
+// writing 64 MiB.
 var maxSegmentBytes int64 = 64 << 20
+
+// scanChunk is how much of a segment a scan reads at a time, into one
+// reused window that grows only for a record longer than itself. Reading a
+// whole segment before decoding it left a recovery's apply stage idle for
+// the whole read — ~7 ms for the ingest_interval tail's 9.7 MB segment in
+// a freshly started node, most of it page faults on the new buffer. With
+// the window, decoding starts after the first chunk and the buffer is
+// faulted in once. A variable so tests can slide the window across record
+// boundaries without writing megabytes.
+var scanChunk = 1 << 20
 
 // RecordType identifies what one WAL record holds. Adding a type here
 // forces every replay, dump and checkpoint switch in the repo to state
@@ -177,14 +189,54 @@ type segmentInfo struct {
 	start uint64 // first seq the segment can hold
 }
 
-// read returns the whole segment: scans hold one segment in memory at a
-// time, which maxSegmentBytes bounds.
-func (s segmentInfo) read() ([]byte, error) {
-	data, err := os.ReadFile(s.path)
+// segWindow is the part of a segment a scan holds in memory: buf holds the
+// segment's bytes from offset base on. A scan asks for each record in turn
+// at a non-decreasing offset, so the window slides forward through the
+// file, refilling one buffer. A window without a file holds the whole
+// segment.
+type segWindow struct {
+	f    *os.File
+	path string
+	buf  []byte
+	base int64
+	size int64 // the segment's length
+}
+
+// openWindow opens seg for a windowed scan, reusing buf's storage.
+func openWindow(seg segmentInfo, buf []byte) (*segWindow, error) {
+	f, err := os.Open(seg.path)
 	if err != nil {
 		return nil, fmt.Errorf("persist: reading segment: %w", err)
 	}
-	return data, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("persist: reading segment: %w", err)
+	}
+	return &segWindow{f: f, path: seg.path, buf: buf[:0], size: fi.Size()}, nil
+}
+
+// at returns the n segment bytes at offset off, valid until the next call.
+// off must not precede the previous call's, and off+n must not pass the
+// segment's end.
+func (w *segWindow) at(off int64, n int) ([]byte, error) {
+	lo := off - w.base
+	if lo+int64(n) <= int64(len(w.buf)) {
+		return w.buf[lo : lo+int64(n)], nil
+	}
+	kept := copy(w.buf, w.buf[lo:])
+	if want := max(n, scanChunk); cap(w.buf) < want {
+		grown := make([]byte, want)
+		copy(grown, w.buf[:kept])
+		w.buf = grown
+	}
+	w.base = off
+	w.buf = w.buf[:min(int64(cap(w.buf)), w.size-off)]
+	if _, err := io.ReadFull(w.f, w.buf[kept:]); err != nil {
+		// The file shrank under the scan: a live log rolled an append back.
+		return nil, fmt.Errorf("persist: reading segment %s: %w", w.path, err)
+	}
+	return w.buf[:n], nil
 }
 
 // RecoveredWAL describes what OpenWAL (or the read-only ReadLog) found on
@@ -214,6 +266,9 @@ func openWAL(dir string, after uint64, fn func(Record) error) (*WAL, RecoveredWA
 	w := &WAL{dir: dir, seq: scan.info.LastSeq, segments: scan.segs}
 	if len(w.segments) == 0 {
 		if err := w.newSegmentLocked(w.seq + 1); err != nil {
+			if w.f != nil {
+				w.f.Close() // created, but its directory entry is not durable
+			}
 			return nil, scan.info, err
 		}
 		return w, scan.info, nil
@@ -248,28 +303,58 @@ type logScan struct {
 	activeSize int64         // committed bytes of the last kept segment
 }
 
-// scanLog reads and validates each of dir's segments once, in order, and
-// hands every record with sequence greater than after to fn (nil only
-// validates). A segment that ends at or before after is validated without
-// decoding its records. With repair set this is the recovery scan: a torn
+// scanLog reads and validates each of dir's segments once, in order,
+// through a sliding window (segWindow), and hands every record with
+// sequence greater than after to fn (nil only validates). A segment that
+// ends at or before after is validated without decoding its records. With repair set this is the recovery scan: a torn
 // tail is truncated and a torn segment husk removed. Without it the scan
 // is read-only and only counts the torn bytes a recovery would cut.
+//
+// With fn set the scan is a two-stage pipeline (see replayer): the calling
+// goroutine reads, CRC-checks, validates and decodes the records, and one
+// apply goroutine calls fn on them strictly in log order, so the two
+// halves of a recovery run on two cores. The semantics are the serial
+// scan's: fn sees the same records in the same order; if fn fails, the
+// scan stops and fn's error is returned; a scan error (corruption) is
+// returned only once fn has been called on every record before the
+// damage; repairs happen only after every record is applied; and scanLog
+// never returns while the apply goroutine runs.
 func scanLog(dir string, after uint64, fn func(Record) error, repair bool) (logScan, error) {
 	scan := logScan{info: RecoveredWAL{FirstSeq: 1}}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return scan, err
 	}
-	var apply func(Record) error
+	var rp *replayer
 	if fn != nil {
-		apply = func(rec Record) error {
-			if rec.Seq <= after {
-				return nil
-			}
-			return fn(rec)
+		rp = startReplay(after, fn)
+	}
+	mend, err := scan.segments(segs, after, rp)
+	if rp != nil {
+		if aerr := rp.finish(); aerr != nil {
+			return scan, aerr // the first fault in log order
 		}
 	}
-	var prevSeq uint64
+	if err != nil {
+		return scan, err
+	}
+	if repair && mend != nil {
+		if err := mend(); err != nil {
+			return scan, err
+		}
+	}
+	return scan, nil
+}
+
+// segments scans segs in order into scan, queueing every record with
+// sequence greater than after on rp (nil only validates). It returns the
+// final segment's repair — truncating a torn tail or removing a torn
+// husk — for the caller to run once the records are applied.
+func (scan *logScan) segments(segs []segmentInfo, after uint64, rp *replayer) (mend func() error, err error) {
+	var (
+		prevSeq uint64
+		window  []byte // the read buffer, reused segment to segment
+	)
 	for i, seg := range segs {
 		// A segment's name records the first sequence it can hold, so even
 		// an empty segment (created by a rotate whose predecessors were
@@ -281,26 +366,34 @@ func scanLog(dir string, after uint64, fn func(Record) error, repair bool) (logS
 		if len(scan.segs) == 0 {
 			scan.info.FirstSeq = seg.start
 		}
-		data, err := seg.read()
-		if err != nil {
-			return scan, err
+		var (
+			dst *[]transport.Tuple
+			put func(Record, int) error
+		)
+		if rp != nil && (i+1 == len(segs) || segs[i+1].start > after+1) {
+			// Some record here may be past after (otherwise the segment
+			// is only validated).
+			dst, put = &rp.slab, rp.put
 		}
-		segApply := apply
-		if i+1 < len(segs) && segs[i+1].start <= after+1 {
-			segApply = nil // every record here is at or before after
-		}
-		scanned, err := scanSegment(seg, data, prevSeq, i == len(segs)-1, segApply)
+		win, err := openWindow(seg, window)
 		if err != nil {
-			return scan, err
+			return nil, err
+		}
+		scanned, err := scanRecords(seg, win, prevSeq, i == len(segs)-1, dst, put)
+		win.f.Close() // read-only: nothing to flush
+		window = win.buf
+		if err != nil {
+			return nil, err
 		}
 		if scanned.drop {
 			// Torn segment creation: the process died between creating the
 			// file and fsyncing its header, so no record was ever appended.
 			// Remove the husk; the next append recreates a segment.
-			if repair {
+			mend = func() error {
 				if err := os.Remove(seg.path); err != nil {
-					return scan, fmt.Errorf("persist: removing torn segment %s: %w", seg.path, err)
+					return fmt.Errorf("persist: removing torn segment %s: %w", seg.path, err)
 				}
+				return nil
 			}
 			scan.info.TruncatedBytes += scanned.size
 			continue
@@ -308,13 +401,15 @@ func scanLog(dir string, after uint64, fn func(Record) error, repair bool) (logS
 		size := scanned.size
 		if scanned.truncate >= 0 {
 			// Torn tail: cut the file back to the last whole record.
-			if repair {
-				if err := os.Truncate(seg.path, scanned.truncate); err != nil {
-					return scan, fmt.Errorf("persist: truncating torn tail of %s: %w", seg.path, err)
+			at := scanned.truncate
+			mend = func() error {
+				if err := os.Truncate(seg.path, at); err != nil {
+					return fmt.Errorf("persist: truncating torn tail of %s: %w", seg.path, err)
 				}
+				return nil
 			}
-			scan.info.TruncatedBytes += size - scanned.truncate
-			size = scanned.truncate
+			scan.info.TruncatedBytes += size - at
+			size = at
 		}
 		if scanned.lastSeq > 0 {
 			prevSeq = scanned.lastSeq
@@ -325,7 +420,136 @@ func scanLog(dir string, after uint64, fn func(Record) error, repair bool) (logS
 	}
 	scan.info.LastSeq = prevSeq
 	scan.info.Segments = len(scan.segs)
-	return scan, nil
+	return mend, nil
+}
+
+const (
+	// replayGroupTuples is how many decoded tuples the scan gathers before
+	// it hands a group to the apply goroutine: 20 records of the
+	// ingest_interval shape (200 tuples each). Smaller groups pay more
+	// channel round trips and goroutine wake-ups; larger ones start the
+	// apply stage later and hold more memory. One record at a time
+	// measured no faster than no pipeline at all.
+	replayGroupTuples = 4096
+	// replayGroupRecords caps a group's records, so a log of tuple-free
+	// or one-tuple records still hands over in bounded groups.
+	replayGroupRecords = 512
+	// replayRing is how many groups exist: one being applied, one queued,
+	// one being filled — or, while the scan is ahead, two queued. It
+	// bounds the pipeline's memory to replayRing groups of about
+	// replayGroupTuples tuples (plus, at most, one record's tuples each):
+	// ~0.3 MB at 24-byte tuples.
+	replayRing = 3
+)
+
+// replayGroup is one hand-over from the scanning goroutine to the apply
+// goroutine: consecutive records in log order, every kind (flush, cursor
+// and deliver records ride between the tuple records they sit between),
+// with their tuples decoded onto one slab.
+type replayGroup struct {
+	recs []Record          // Tuples alias slab
+	slab []transport.Tuple // the group's decoded tuples
+}
+
+// errReplayStopped ends a scan whose apply stage has stopped; scanLog
+// returns fn's error in its place.
+var errReplayStopped = errors.New("persist: replay stopped")
+
+// replayer is the apply stage of a scan: it runs fn on one goroutine over
+// the groups the scan fills, recycling a fixed ring of replayRing groups
+// through free.
+type replayer struct {
+	after uint64
+	fn    func(Record) error
+
+	cur  *replayGroup      // being filled by the scan
+	slab []transport.Tuple // cur's slab while the scan decodes onto it
+
+	// Both channels hold the whole ring, so neither send blocks: the scan
+	// waits only for a free group, the apply goroutine only for work.
+	work chan *replayGroup // filled groups, in log order
+	free chan *replayGroup // applied groups, ready to refill
+	done chan struct{}     // closed when the apply goroutine exits
+	err  error             // fn's error; read only after done
+}
+
+// startReplay starts the apply goroutine of a scan handing every record
+// with sequence greater than after to fn.
+func startReplay(after uint64, fn func(Record) error) *replayer {
+	rp := &replayer{
+		after: after,
+		fn:    fn,
+		work:  make(chan *replayGroup, replayRing),
+		free:  make(chan *replayGroup, replayRing),
+		done:  make(chan struct{}),
+	}
+	for i := 0; i < replayRing; i++ {
+		rp.free <- &replayGroup{}
+	}
+	rp.cur = <-rp.free
+	go rp.apply()
+	return rp
+}
+
+// apply calls fn on every queued record in order. It returns at fn's
+// first error, and its return closes done, which stops the scan.
+func (rp *replayer) apply() {
+	defer close(rp.done)
+	for g := range rp.work {
+		for _, rec := range g.recs {
+			if err := rp.fn(rec); err != nil {
+				rp.err = err
+				return
+			}
+		}
+		clear(g.recs)
+		g.recs = g.recs[:0]
+		rp.free <- g
+	}
+}
+
+// put queues one decoded record, whose tuples the scan has just decoded
+// onto rp.slab from index from. A record at or before after is dropped.
+func (rp *replayer) put(rec Record, from int) error {
+	select {
+	case <-rp.done:
+		return errReplayStopped
+	default:
+	}
+	if rec.Seq <= rp.after {
+		rp.slab = rp.slab[:from]
+		return nil
+	}
+	g := rp.cur
+	g.recs = append(g.recs, rec)
+	if len(rp.slab) < replayGroupTuples && len(g.recs) < replayGroupRecords {
+		return nil
+	}
+	rp.send()
+	select {
+	case rp.cur = <-rp.free:
+	case <-rp.done:
+		return errReplayStopped
+	}
+	rp.slab = rp.cur.slab[:0]
+	return nil
+}
+
+// send hands cur to the apply goroutine.
+func (rp *replayer) send() {
+	rp.cur.slab = rp.slab
+	rp.work <- rp.cur
+}
+
+// finish hands over the final partial group, waits until the apply
+// goroutine has applied it and exited, and returns fn's error.
+func (rp *replayer) finish() error {
+	if len(rp.cur.recs) > 0 {
+		rp.send()
+	}
+	close(rp.work)
+	<-rp.done
+	return rp.err
 }
 
 // listSegments returns dir's wal-*.seg files sorted by starting sequence.
@@ -358,70 +582,91 @@ type scanResult struct {
 	drop     bool  // final segment with a torn header: holds no records, remove it
 }
 
-// scanSegment validates one segment. Records must carry strictly increasing
-// sequence numbers, continuing from prevSeq. When last is true, a torn tail
-// is tolerated and reported via truncate — and a header cut short is
-// reported via drop: appends only ever happen after the header was fsynced,
-// so a short header on the final segment means the creating rotate died
-// mid-write and no record can be behind it. A *garbled* header (wrong bytes
-// rather than missing bytes) cannot come from a torn write of a 5-byte
-// prefix and is refused everywhere, as is an unsupported version — deleting
-// it could destroy a log written by a newer binary. When apply is non-nil
-// it is called for every valid record. data is the segment's content; seg
-// names it in errors.
-func scanSegment(seg segmentInfo, data []byte, prevSeq uint64, last bool, apply func(Record) error) (scanResult, error) {
-	res := scanResult{truncate: -1, lastSeq: prevSeq, size: int64(len(data))}
-	if last && len(data) <= segHeaderLen && tornHeader(data) {
+// scanRecords validates one segment, read through win. Records must carry
+// strictly increasing sequence numbers, continuing from prevSeq. When last
+// is true, a torn tail is tolerated and reported via truncate — and a
+// header cut short is reported via drop: appends only ever happen after
+// the header was fsynced, so a short header on the final segment means the
+// creating rotate died mid-write and no record can be behind it. A
+// *garbled* header (wrong bytes rather than missing bytes) cannot come
+// from a torn write of a 5-byte prefix and is refused everywhere, as is an
+// unsupported version — deleting it could destroy a log written by a newer
+// binary. seg names the segment in errors.
+//
+// With dst non-nil every valid record is decoded in place: its tuples are
+// appended to *dst, and put receives the record with Tuples set to that
+// extension, which starts at (*dst)[from]. Nothing put receives aliases
+// the window. With dst nil the records are validated only.
+func scanRecords(seg segmentInfo, win *segWindow, prevSeq uint64, last bool, dst *[]transport.Tuple, put func(rec Record, from int) error) (scanResult, error) {
+	size := win.size
+	res := scanResult{truncate: -1, lastSeq: prevSeq, size: size}
+	if size < segHeaderLen {
+		data, err := win.at(0, int(size))
+		if err != nil {
+			return res, err
+		}
+		if last && tornHeader(data) {
+			res.drop = true
+			return res, nil
+		}
+		return res, fmt.Errorf("%w: %s: segment header cut short (%d bytes)", ErrCorrupt, seg.path, size)
+	}
+	header, err := win.at(0, segHeaderLen)
+	if err != nil {
+		return res, err
+	}
+	if last && size == segHeaderLen && tornHeader(header) {
 		res.drop = true
 		return res, nil
 	}
-	if len(data) < segHeaderLen {
-		return res, fmt.Errorf("%w: %s: segment header cut short (%d bytes)", ErrCorrupt, seg.path, len(data))
-	}
-	if string(data[:4]) != segMagic {
+	if string(header[:4]) != segMagic {
 		return res, fmt.Errorf("%w: %s: bad segment magic", ErrCorrupt, seg.path)
 	}
-	if data[4] != walVersion {
-		return res, fmt.Errorf("persist: %s: unsupported wal version %d (want %d)", seg.path, data[4], walVersion)
+	if header[4] != walVersion {
+		return res, fmt.Errorf("persist: %s: unsupported wal version %d (want %d)", seg.path, header[4], walVersion)
 	}
 	off := int64(segHeaderLen)
-	var (
-		tuples []transport.Tuple
-		err    error
-	)
-	for off < int64(len(data)) {
-		rest := data[off:]
+	for off < size {
+		left := size - off
 		torn := func(reason string) (scanResult, error) {
 			// A torn tail is the single append that was in flight when the
 			// process died, so it can span at most one maximal record. A
 			// larger unreadable region (e.g. a corrupted length field with
 			// acked records behind it) is mid-log damage: truncating would
 			// silently delete durable records, so refuse instead.
-			if last && int64(len(rest)) <= recordHeaderLen+maxRecordPayload {
+			if last && left <= recordHeaderLen+maxRecordPayload {
 				res.truncate = off
 				return res, nil
 			}
 			return res, fmt.Errorf("%w: %s at offset %d: %s", ErrCorrupt, seg.path, off, reason)
 		}
-		if len(rest) < recordHeaderLen {
+		if left < recordHeaderLen {
 			return torn("truncated record header")
 		}
-		crc := binary.LittleEndian.Uint32(rest[0:4])
-		plen := binary.LittleEndian.Uint32(rest[4:8])
-		seq := binary.LittleEndian.Uint64(rest[8:16])
-		typ := rest[16]
+		head, err := win.at(off, recordHeaderLen)
+		if err != nil {
+			return res, err
+		}
+		crc := binary.LittleEndian.Uint32(head[0:4])
+		plen := binary.LittleEndian.Uint32(head[4:8])
+		seq := binary.LittleEndian.Uint64(head[8:16])
+		typ := head[16]
 		if plen > maxRecordPayload {
 			// An absurd length is indistinguishable from a torn header at
 			// the tail; anywhere else it is corruption.
 			return torn(fmt.Sprintf("record payload length %d exceeds %d", plen, maxRecordPayload))
 		}
 		end := recordHeaderLen + int64(plen)
-		if int64(len(rest)) < end {
+		if left < end {
 			return torn("record cut short by end of file")
+		}
+		rest, err := win.at(off, int(end))
+		if err != nil {
+			return res, err
 		}
 		body := rest[4:end]
 		if crc32.Checksum(body, crcTable) != crc {
-			if last && off+end == int64(len(data)) {
+			if last && off+end == size {
 				// The final record of the final segment with a bad CRC is a
 				// torn in-place write; drop it.
 				res.truncate = off
@@ -433,52 +678,44 @@ func scanSegment(seg segmentInfo, data []byte, prevSeq uint64, last bool, apply 
 			return res, fmt.Errorf("%w: %s at offset %d: sequence %d not after %d", ErrCorrupt, seg.path, off, seq, res.lastSeq)
 		}
 		payload := rest[recordHeaderLen:end]
-		switch RecordType(typ) {
+		rec := Record{Seq: seq, Type: RecordType(typ)}
+		from := 0
+		if dst != nil {
+			from = len(*dst)
+		}
+		switch rec.Type {
 		case RecordTuples:
-			if apply != nil {
-				tuples, err = transport.DecodeTuples(tuples[:0], payload)
-				if err != nil {
-					return res, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.path, off, err)
-				}
-				if err := apply(Record{Seq: seq, Type: RecordTuples, Tuples: tuples}); err != nil {
-					return res, err
-				}
+			if dst != nil {
+				*dst, err = transport.DecodeTuples(*dst, payload)
 			}
 		case RecordFlush:
-			if apply != nil {
-				if err := apply(Record{Seq: seq, Type: RecordFlush}); err != nil {
-					return res, err
-				}
-			}
 		case RecordDeliver:
-			if apply != nil {
-				rec := Record{Seq: seq, Type: RecordDeliver}
-				rec.Origin, rec.Epoch, rec.PeerSeq, tuples, err = decodeDeliverPayload(payload, tuples[:0])
-				if err != nil {
-					return res, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.path, off, err)
-				}
-				rec.Tuples = tuples
-				if err := apply(rec); err != nil {
-					return res, err
-				}
+			if dst != nil {
+				rec.Origin, rec.Epoch, rec.PeerSeq, *dst, err = decodeDeliverPayload(payload, *dst)
 			}
 		case RecordCursor:
-			if apply != nil {
+			if dst != nil {
 				if len(payload) != 16 {
 					return res, fmt.Errorf("%w: %s at offset %d: cursor record payload is %d bytes, want 16", ErrCorrupt, seg.path, off, len(payload))
 				}
-				rec := Record{
-					Seq:     seq,
-					Type:    RecordCursor,
-					Epoch:   binary.LittleEndian.Uint64(payload[0:8]),
-					PeerSeq: binary.LittleEndian.Uint64(payload[8:16]),
-				}
-				if err := apply(rec); err != nil {
-					return res, err
-				}
+				rec.Epoch = binary.LittleEndian.Uint64(payload[0:8])
+				rec.PeerSeq = binary.LittleEndian.Uint64(payload[8:16])
 			}
 		default:
 			return res, fmt.Errorf("%w: %s at offset %d: unknown record type %d", ErrCorrupt, seg.path, off, typ)
+		}
+		if err != nil {
+			return res, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.path, off, err)
+		}
+		if dst != nil {
+			if n := len(*dst); n > from {
+				// Capped, so a callback appending to its tuples cannot
+				// overwrite the next record's.
+				rec.Tuples = (*dst)[from:n:n]
+			}
+			if err := put(rec, from); err != nil {
+				return res, err
+			}
 		}
 		res.lastSeq = seq
 		res.records++
@@ -736,8 +973,9 @@ func (w *WAL) Sync() error {
 }
 
 // walClock is the package's telemetry clock seam. Latency histograms
-// (fsync, append, checkpoint) are the only wall-clock consumers in this
-// package — nothing written to the log may ever derive from it, and
+// (fsync, append, checkpoint) and the replay duration in the recovery log
+// line are the only wall-clock consumers in this package — nothing
+// written to the log may ever derive from it, and
 // tests substitute a fake to keep recovery runs reproducible.
 var walClock = time.Now
 
@@ -879,13 +1117,21 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// syncDir fsyncs a directory so entry creation/removal is durable.
+// syncDir fsyncs a directory so entry creation/removal is durable. A
+// record acked in a fresh segment is only as durable as the segment's
+// directory entry, so both failures — opening the directory and syncing
+// it — are returned.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil // best effort: some platforms refuse O_RDONLY on dirs
+		return fmt.Errorf("persist: syncing directory: %w", err)
 	}
-	defer d.Close()
-	_ = d.Sync()
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("persist: syncing directory %s: %w", dir, err)
+	}
 	return nil
 }

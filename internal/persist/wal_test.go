@@ -470,3 +470,35 @@ func TestWALSizeBasedRotation(t *testing.T) {
 		t.Fatalf("reopen info %+v", info)
 	}
 }
+
+// A record acked in a fresh segment is only as durable as the segment's
+// directory entry, so a directory that cannot be synced is an error:
+// syncDir reports it, and so does the segment creation behind a rotate.
+func TestSyncDirReportsAMissingDirectory(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "gone")
+	if err := syncDir(missing); err == nil {
+		t.Fatal("syncDir of a missing directory succeeded")
+	}
+	if err := syncDir(t.TempDir()); err != nil {
+		t.Fatalf("syncDir of a directory: %v", err)
+	}
+
+	dir := filepath.Join(t.TempDir(), "wal")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.AppendTuples(testTuples(3, 0), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Rotate(); err == nil {
+		t.Fatal("creating a segment in a missing directory succeeded")
+	}
+}

@@ -121,6 +121,10 @@ func (r *Rand) IntN(n int) int { return r.src.IntN(n) }
 // Uint64 returns a uniform 64-bit value.
 func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
 
+// Uint64N returns a uniform sample from {0, ..., n-1}: the draw Shuffle
+// makes for each swap. It panics if n == 0.
+func (r *Rand) Uint64N(n uint64) uint64 { return r.src.Uint64N(n) }
+
 // Perm returns a uniform random permutation of {0, ..., n-1}.
 func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
 

@@ -107,9 +107,12 @@ type Shuffler struct {
 // hash table reused across cuts. A slot belongs to the current batch only
 // while its stamp equals gen, so starting a batch costs one increment
 // rather than clearing the table, and a steady stream of cuts allocates
-// nothing.
+// nothing. The count pass probes the table once per tuple and leaves the
+// tuple's slot index in at, so the keep pass reads each count by index
+// instead of probing again.
 type codeCounts struct {
 	slots []countSlot // len is a power of two, at least twice the batch
+	at    []int32     // at[i]: slot of the batch's i-th tuple; len(slots)/2
 	shift uint        // 64 - log2(len(slots))
 	gen   uint32
 }
@@ -128,6 +131,7 @@ func (c *codeCounts) reset(n int) {
 			c.shift--
 		}
 		c.slots = make([]countSlot, 1<<(64-c.shift))
+		c.at = make([]int32, len(c.slots)/2)
 		c.gen = 0
 	}
 	c.gen++
@@ -161,23 +165,21 @@ func (c *codeCounts) home(code int) int {
 	return int((uint64(code) * 0x9e3779b97f4a7c15) >> c.shift)
 }
 
-// add counts one occurrence of code in the current batch.
-func (c *codeCounts) add(code int) {
-	s := &c.slots[c.slot(code)]
+// add counts one occurrence of code, the batch's i-th tuple, in the
+// current batch.
+func (c *codeCounts) add(i, code int) {
+	at := c.slot(code)
+	s := &c.slots[at]
 	if s.gen != c.gen {
 		*s = countSlot{code: code, gen: c.gen}
 	}
 	s.n++
+	c.at[i] = int32(at)
 }
 
-// count returns how often code occurred in the current batch.
-func (c *codeCounts) count(code int) int {
-	s := &c.slots[c.slot(code)]
-	if s.gen != c.gen {
-		return 0
-	}
-	return int(s.n)
-}
+// count returns how often the batch's i-th tuple's code occurred in the
+// current batch, once every tuple has been added.
+func (c *codeCounts) count(i int) int { return int(c.slots[c.at[i]].n) }
 
 // New returns a shuffler delivering to sink, shuffling with randomness from
 // r. It panics on a non-positive batch size or negative threshold.
@@ -298,17 +300,22 @@ func (s *Shuffler) process(batch []transport.Tuple, explicit bool) {
 	} else {
 		s.metrics.SizeBatches.Inc()
 	}
-	// Shuffling: sever any link between arrival order and position.
-	s.r.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	// Shuffling: sever any link between arrival order and position. This
+	// is Fisher-Yates with exactly the draws rng.Shuffle makes, inlined to
+	// spare a closure call per swap.
+	for i := len(batch) - 1; i > 0; i-- {
+		j := s.r.Uint64N(uint64(i + 1))
+		batch[i], batch[j] = batch[j], batch[i]
+	}
 
 	// Thresholding: count code frequencies, keep only crowd members.
 	s.counts.reset(len(batch))
-	for _, t := range batch {
-		s.counts.add(t.Code)
+	for i, t := range batch {
+		s.counts.add(i, t.Code)
 	}
 	kept := batch[:0]
-	for _, t := range batch {
-		if s.counts.count(t.Code) >= s.cfg.Threshold {
+	for i, t := range batch {
+		if s.counts.count(i) >= s.cfg.Threshold {
 			kept = append(kept, t)
 		}
 	}

@@ -312,7 +312,10 @@ func DecodeTuples(dst []Tuple, stream []byte) ([]Tuple, error) {
 	}
 	rest := stream[len(Magic):]
 	for frame := 0; len(rest) > 0; frame++ {
-		n, w := binary.Uvarint(rest)
+		n, w := uint64(rest[0]), 1
+		if n >= 0x80 {
+			n, w = binary.Uvarint(rest)
+		}
 		if w <= 0 {
 			if w == 0 {
 				return dst, fmt.Errorf("transport: frame %d length prefix: %w", frame, io.ErrUnexpectedEOF)
@@ -340,7 +343,20 @@ func DecodeTuples(dst []Tuple, stream []byte) ([]Tuple, error) {
 // section unread. It is the frame-body rule NextTuple and DecodeTuples
 // share: a metadata length that fits the body, code and action varints,
 // then exactly 8 bytes of reward.
+//
+// The 11-byte body — no metadata, code and action one varint byte each
+// (both in [-64, 63]), the frame of every WAL tuple record and relay
+// forward when k <= 64 — is decoded inline first. It
+// takes only bodies the general rule below decodes to the same tuple, so
+// both decoders keep the one acceptance.
 func bodyTuple(body []byte, frame int, t *Tuple) error {
+	if len(body) == 11 && body[0] == 0 && body[1] < 0x80 && body[2] < 0x80 {
+		code, action := int(body[1]), int(body[2])
+		t.Code = code>>1 ^ -(code & 1) // zig-zag
+		t.Action = action>>1 ^ -(action & 1)
+		t.Reward = math.Float64frombits(binary.LittleEndian.Uint64(body[3:]))
+		return nil
+	}
 	metaLen, at, err := uvarintAt(body, 0, frame, "metadata length")
 	if err != nil {
 		return err

@@ -140,6 +140,44 @@ func TestWireNextTupleZeroAlloc(t *testing.T) {
 	}
 }
 
+// bodyTuple's 11-byte fast path must decode every body it takes — no
+// metadata, one-byte code and action — to the tuple the general frame
+// rule reads, and hand every other body to that rule. Checked over the
+// whole one-byte code × action square.
+func TestWireFastPathMatchesGeneralRule(t *testing.T) {
+	body := []byte{0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}
+	for code := 0; code < 0x80; code++ {
+		for action := 0; action < 0x80; action++ {
+			body[1], body[2] = byte(code), byte(action)
+			var fast, general Tuple
+			if err := bodyTuple(body, 0, &fast); err != nil {
+				t.Fatalf("body % x: %v", body, err)
+			}
+			if err := tupleAt(body, 1, 0, &general); err != nil {
+				t.Fatalf("body % x: general rule: %v", body, err)
+			}
+			if !sameTuple(fast, general) {
+				t.Fatalf("body % x: fast path %+v, general rule %+v", body, fast, general)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+		ok   bool
+	}{
+		{"two-byte code, 7 reward bytes", []byte{0, 0x80, 0x01, 0, 1, 2, 3, 4, 5, 6, 7}, false},
+		{"two-byte action, 7 reward bytes", []byte{0, 0x02, 0x80, 0x01, 1, 2, 3, 4, 5, 6, 7}, false},
+		{"one-byte metadata section, 7 reward bytes", []byte{1, 0, 0x02, 0x04, 1, 2, 3, 4, 5, 6, 7}, false},
+		{"non-minimal metadata length", []byte{0x80, 0x00, 0x02, 0x04, 1, 2, 3, 4, 5, 6, 7, 8}, true},
+	} {
+		var got Tuple
+		if err := bodyTuple(c.body, 0, &got); (err == nil) != c.ok {
+			t.Fatalf("%s: err %v, want accepted %v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestWireBadMagic(t *testing.T) {
 	_, err := NewFrameReader(strings.NewReader("NOPE and then some"))
 	if !errors.Is(err, ErrBadMagic) {
