@@ -44,6 +44,7 @@ import (
 
 	"p2b/internal/bandit"
 	"p2b/internal/encoding"
+	"p2b/internal/privacy"
 	"p2b/internal/rng"
 	"p2b/internal/transport"
 )
@@ -278,8 +279,8 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.Alpha < 0 {
 		return nil, errors.New("agent: Alpha must be >= 0")
 	}
-	if cfg.P < 0 || cfg.P >= 1 {
-		return nil, fmt.Errorf("agent: participation probability %v outside [0, 1)", cfg.P)
+	if err := privacy.CheckParticipation(cfg.P); err != nil {
+		return nil, fmt.Errorf("agent: %w", err)
 	}
 	if cfg.ReportWindow < 0 {
 		return nil, errors.New("agent: ReportWindow must be >= 0")
@@ -632,7 +633,7 @@ func (a *Agent) Finish() (int, error) {
 		}
 		a.windowBase++
 		wr := a.r.SplitIndex("participate", base+w)
-		if !wr.Bernoulli(a.cfg.P) {
+		if !privacy.Participates(a.cfg.P, wr) {
 			continue
 		}
 		pick := start + wr.IntN(end-start)

@@ -71,8 +71,13 @@
 //
 // Usage:
 //
-//	p2bnode -addr :8080 -k 1024 -arms 20 -d 10 -threshold 10 -batch 320 \
+//	p2bnode -addr :8080 -k 1024 -arms 20 -d 10 -threshold 10 \
 //	        -data-dir /var/lib/p2b -checkpoint-interval 1m -wal-sync 100ms
+//
+// Without -batch the batch is privacy.DefaultBatchSize(k, threshold),
+// 40960 tuples above, so an average code occurs 4*threshold times per
+// batch; OPERATIONS.md "Choosing -p, -threshold and -batch" gives the
+// trade-off.
 package main
 
 import (
@@ -89,6 +94,7 @@ import (
 	"p2b/internal/httpapi"
 	"p2b/internal/node"
 	"p2b/internal/persist"
+	"p2b/internal/privacy"
 	"p2b/internal/topology"
 )
 
@@ -111,7 +117,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.Server.D, "d", 10, "raw context dimension (baseline model)")
 	fs.Float64Var(&o.Server.Alpha, "alpha", 1, "exploration parameter baked into snapshots")
 	fs.IntVar(&o.Shuffler.Threshold, "threshold", 10, "crowd-blending threshold l")
-	fs.IntVar(&o.Shuffler.BatchSize, "batch", 0, "shuffler batch size (default 32*threshold)")
+	fs.IntVar(&o.Shuffler.BatchSize, "batch", 0, "shuffler batch size (0 = max(256, 4*threshold*k), a mean of 4*threshold tuples per code)")
 	fs.Uint64Var(&o.Server.Seed, "seed", 1, "seed for the shuffler's permutation stream")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown drain timeout")
 
@@ -153,10 +159,7 @@ func (o *options) resolve() error {
 		return err
 	}
 	if o.Shuffler.BatchSize == 0 {
-		o.Shuffler.BatchSize = 32 * o.Shuffler.Threshold
-		if o.Shuffler.BatchSize == 0 {
-			o.Shuffler.BatchSize = 256
-		}
+		o.Shuffler.BatchSize = privacy.DefaultBatchSize(o.Server.K, o.Shuffler.Threshold)
 	}
 	for _, p := range strings.Split(o.peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
@@ -205,8 +208,9 @@ func main() {
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- n.ListenAndServe(o.addr) }()
-	log.Printf("p2bnode listening on %s as %s %q (k=%d arms=%d d=%d threshold=%d batch=%d)",
-		o.addr, o.Role, o.Name, o.Server.K, o.Server.Arms, o.Server.D, o.Shuffler.Threshold, o.Shuffler.BatchSize)
+	log.Printf("p2bnode listening on %s as %s %q (k=%d arms=%d d=%d threshold=%d batch=%d, %.1f tuples per code)",
+		o.addr, o.Role, o.Name, o.Server.K, o.Server.Arms, o.Server.D, o.Shuffler.Threshold, o.Shuffler.BatchSize,
+		float64(o.Shuffler.BatchSize)/float64(o.Server.K))
 
 	select {
 	case err := <-errCh:

@@ -41,8 +41,8 @@ func main() {
 		fmt.Printf("target epsilon %.6f -> participation probability p = %.6f\n", *eps, pp)
 		fmt.Printf("check: Epsilon(%.6f) = %.6f\n", pp, privacy.Epsilon(pp))
 	case *p >= 0:
-		if *p >= 1 {
-			fmt.Fprintln(os.Stderr, "p2bprivacy: p must be in [0, 1)")
+		if err := privacy.CheckParticipation(*p); err != nil {
+			fmt.Fprintln(os.Stderr, "p2bprivacy:", err)
 			os.Exit(2)
 		}
 		e := privacy.Epsilon(*p)

@@ -145,9 +145,9 @@ type Config struct {
 	// which the paper notes can always be matched to the threshold).
 	Threshold int
 	// BatchSize is the shuffler batch size. It defaults to
-	// max(256, 4*Threshold*K): a code's expected frequency in a batch is
-	// BatchSize/K, which must comfortably clear the threshold or the
-	// thresholding step consumes everything.
+	// privacy.DefaultBatchSize(K, Threshold): a code's expected frequency
+	// in a batch is BatchSize/K, which must comfortably clear the
+	// threshold or the thresholding step consumes everything.
 	BatchSize int
 	// PrivateLearner selects the warm-private agents' hypothesis class
 	// (default LearnerTabular).
@@ -186,8 +186,8 @@ func (c *Config) validate() error {
 	if c.T < 1 {
 		return errors.New("core: T must be >= 1")
 	}
-	if c.P < 0 || c.P >= 1 {
-		return fmt.Errorf("core: participation probability %v outside [0, 1)", c.P)
+	if err := privacy.CheckParticipation(c.P); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if c.Alpha < 0 {
 		return errors.New("core: Alpha must be >= 0")
@@ -253,12 +253,7 @@ func NewSystem(cfg Config, env Environment, enc encoding.Encoder) (*System, erro
 		decoder, _ = enc.(encoding.Decoder)
 	}
 	if cfg.BatchSize == 0 {
-		// A batch must hold enough tuples that an average code's frequency
-		// (BatchSize / K) clears the crowd-blending threshold with margin.
-		cfg.BatchSize = 4 * cfg.Threshold * k
-		if cfg.BatchSize < 256 {
-			cfg.BatchSize = 256
-		}
+		cfg.BatchSize = privacy.DefaultBatchSize(k, cfg.Threshold)
 	}
 	if cfg.Mode == WarmPrivate && cfg.PrivateLearner == LearnerCentroid && decoder == nil {
 		return nil, errors.New("core: the centroid learner requires an encoder that implements Decode")

@@ -90,13 +90,6 @@ func (g *Registry) Enable(name string, s Spec) {
 	g.points[name] = &point{spec: s}
 }
 
-// Disable removes the named failpoint; subsequent Hits return nil.
-func (g *Registry) Disable(name string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.points, name)
-}
-
 // Hit records one pass through the named failpoint and returns the
 // injected error if the point fires, nil otherwise. Unregistered names
 // never fire, so instrumented code paths cost one map lookup when chaos is

@@ -16,13 +16,6 @@ func Hash32(s string) uint32 {
 	return h.Sum32()
 }
 
-// Hash64 returns the 64-bit FNV-1a hash of s.
-func Hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
 // Bucket maps the (field, value) pair into one of n buckets. Including the
 // field name keeps identical values in different columns independent, the
 // standard multitask hashing construction.

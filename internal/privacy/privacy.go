@@ -6,10 +6,15 @@
 //	epsilon = ln(p * (2-p)/(1-p) * e^epsBar + (1-p))       (Equation 2/3)
 //	delta   = exp(-Omega * l * (1-p)^2)
 //
-// The package provides the forward maps, the inverse map from a target
+// The package is the single statement of the mechanism the product runs:
+// the valid range of p (CheckParticipation), a device's per-window
+// participation draw (Participates), the shuffler's keep rule (InCrowd)
+// and the default shuffler batch (DefaultBatchSize). The agent, the
+// shuffler, the simulator and the node call these rather than restating
+// them. Beside them sit the forward maps, the inverse map from a target
 // epsilon to the participation probability, r-fold composition, a
-// crowd-blending verifier for shuffled batches, and the per-user
-// participation sampler and budget accountant used by the pipeline.
+// crowd-blending verifier for shuffled batches, and the per-user budget
+// accountant.
 package privacy
 
 import (
@@ -19,6 +24,34 @@ import (
 
 	"p2b/internal/rng"
 )
+
+// CheckParticipation returns an error unless p is a valid participation
+// probability, in [0, 1): p = 0 shares nothing, and epsilon diverges as p
+// approaches 1. NaN is rejected too.
+func CheckParticipation(p float64) error {
+	if !(p >= 0 && p < 1) {
+		return fmt.Errorf("participation probability %v outside [0, 1)", p)
+	}
+	return nil
+}
+
+// Participates is the randomized data reporting step (§3.1): one
+// Bernoulli(p) trial on the caller's stream, deciding whether a device
+// shares a tuple from the interaction window the stream belongs to.
+func Participates(p float64, r *rng.Rand) bool { return r.Bernoulli(p) }
+
+// InCrowd is the crowd-blending rule the shuffler's thresholding step
+// applies (§3.3): a tuple whose code occurs count times in its shuffled
+// batch is released iff count >= l, so every released code hides in a
+// crowd of at least l.
+func InCrowd(count, l int) bool { return count >= l }
+
+// DefaultBatchSize returns the shuffler batch size used when none is
+// configured, for k codes and crowd-blending threshold l:
+// max(256, 4*l*k). A code's mean count in such a batch is batch/k = 4*l,
+// so an average code clears the threshold with margin; the reproduced
+// figures are measured under this rule.
+func DefaultBatchSize(k, l int) int { return max(256, 4*l*k) }
 
 // Epsilon returns the differential-privacy epsilon achieved by sampling
 // with participation probability p followed by (l, 0)-crowd-blending
@@ -32,8 +65,8 @@ func Epsilon(p float64) float64 {
 // (l, epsBar)-crowd-blending. P2B's encoder releases identical values for
 // every member of a crowd, so epsBar = 0 in all of the paper's experiments.
 func EpsilonGeneral(p, epsBar float64) float64 {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("privacy: participation probability %v outside [0, 1)", p))
+	if err := CheckParticipation(p); err != nil {
+		panic("privacy: " + err.Error())
 	}
 	if epsBar < 0 {
 		panic("privacy: crowd-blending epsilon must be >= 0")
@@ -147,37 +180,8 @@ func MinCrowd(codes []int) int {
 // least l times — the invariant the shuffler's thresholding step must
 // establish before data reaches the server. An empty batch satisfies any l.
 func VerifyCrowdBlending(codes []int, l int) bool {
-	if len(codes) == 0 {
-		return true
-	}
-	return MinCrowd(codes) >= l
+	return len(codes) == 0 || InCrowd(MinCrowd(codes), l)
 }
-
-// Sampler implements the randomized data reporting step (§3.1): after a
-// local interaction window, the agent constructs a payload with probability
-// p. Each agent owns one Sampler seeded from its private stream.
-type Sampler struct {
-	p float64
-	r *rng.Rand
-}
-
-// NewSampler returns a participation sampler with probability p in [0, 1).
-func NewSampler(p float64, r *rng.Rand) *Sampler {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("privacy: participation probability %v outside [0, 1)", p))
-	}
-	return &Sampler{p: p, r: r}
-}
-
-// P returns the participation probability.
-func (s *Sampler) P() float64 { return s.p }
-
-// Participates performs one Bernoulli(p) trial.
-func (s *Sampler) Participates() bool { return s.r.Bernoulli(s.p) }
-
-// Epsilon returns the per-disclosure epsilon this sampler's probability
-// yields under Equation 3.
-func (s *Sampler) Epsilon() float64 { return Epsilon(s.p) }
 
 // Accountant tracks per-user disclosure counts and reports composed budgets.
 // The pipeline registers one event per tuple that a user actually submits;

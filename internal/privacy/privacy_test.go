@@ -194,35 +194,42 @@ func TestVerifyCrowdBlending(t *testing.T) {
 }
 
 func TestSampler(t *testing.T) {
-	s := NewSampler(0.5, rng.New(1))
-	if s.P() != 0.5 {
-		t.Fatal("P accessor wrong")
-	}
-	if math.Abs(s.Epsilon()-math.Ln2) > 1e-12 {
-		t.Fatal("sampler epsilon wrong")
-	}
+	r := rng.New(1)
 	hits := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		if s.Participates() {
+		if Participates(0.5, r) {
 			hits++
 		}
 	}
 	if math.Abs(float64(hits)/n-0.5) > 0.01 {
 		t.Fatalf("participation frequency %v", float64(hits)/n)
 	}
+	// The draw is exactly one Bernoulli trial on the caller's stream, so a
+	// device's report schedule is the same whichever of the two it calls.
+	a, b := rng.New(7), rng.New(7)
+	for i := 0; i < 1000; i++ {
+		if Participates(0.3, a) != b.Bernoulli(0.3) {
+			t.Fatalf("draw %d differs from Bernoulli on the same stream", i)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if Participates(0, r) {
+			t.Fatal("p = 0 participated")
+		}
+	}
 }
 
 func TestSamplerValidation(t *testing.T) {
-	for _, p := range []float64{-0.1, 1.0} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewSampler(%v) did not panic", p)
-				}
-			}()
-			NewSampler(p, rng.New(1))
-		}()
+	for _, p := range []float64{-0.1, 1.0, 1.5, math.NaN()} {
+		if CheckParticipation(p) == nil {
+			t.Errorf("CheckParticipation(%v) accepted", p)
+		}
+	}
+	for _, p := range []float64{0, 0.5, 0.999} {
+		if err := CheckParticipation(p); err != nil {
+			t.Errorf("CheckParticipation(%v) = %v", p, err)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"p2b/internal/metrics"
+	"p2b/internal/privacy"
 	"p2b/internal/rng"
 	"p2b/internal/transport"
 )
@@ -315,7 +316,7 @@ func (s *Shuffler) process(batch []transport.Tuple, explicit bool) {
 	}
 	kept := batch[:0]
 	for i, t := range batch {
-		if s.counts.count(i) >= s.cfg.Threshold {
+		if privacy.InCrowd(s.counts.count(i), s.cfg.Threshold) {
 			kept = append(kept, t)
 		}
 	}
